@@ -117,7 +117,6 @@ class ProviderConfig:
     timeout_s: float = 60.0
     max_retries: int = 3
     rate_per_s: float | None = None
-    reasoning: bool = False  # report grouping only; prompts are identical
 
     def __post_init__(self) -> None:
         if self.max_retries < 0:

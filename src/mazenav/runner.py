@@ -29,7 +29,7 @@ from .gateway import (
     prompt_hash,
 )
 from .grid import Maze
-from .instructions import ParsedResponse, instruction_to_dict, parse_response
+from .instructions import instruction_to_dict, parse_response
 from .scoring import MODES, MODE_EXECUTION, MODE_ORACLE, MetricsSummary, RunScore, score_run, summarize
 from .simulator import FaultKind, execute
 from .solver import Solution, reference_solution

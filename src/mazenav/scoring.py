@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .grid import Maze
 from .instructions import ParsedResponse
@@ -121,7 +121,3 @@ def summarize(model: str, scenario: str, scores: Sequence[RunScore]) -> MetricsS
     partial_pct = 100.0 * sum(s.partial for s in scores) / n
     histogram = Counter(s.first_fault[1] for s in scores if s.first_fault)
     return MetricsSummary(model, scenario, n, complete_pct, partial_pct, dict(histogram))
-
-
-def aggregate(groups: Mapping[tuple[str, str], Sequence[RunScore]]) -> list[MetricsSummary]:
-    return [summarize(model, scenario, scores) for (model, scenario), scores in groups.items()]

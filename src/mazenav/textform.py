@@ -1,24 +1,19 @@
 """Canonical textual maze description, its parser, and an ASCII renderer.
 
 The description is the wire format embedded in prompts, so serialization is
-deterministic and byte-stable. The layout, for the default 2x5 maze:
+deterministic and byte-stable; tests/fixtures/golden_description.txt holds
+the worked 2x5 maze. "^" marks the entrance opening and "x" the exit, on the
+boundary line above or below the zone grid or beside a grid row.
 
-    Here is the text description of a maze:
-      - The floor is always composed of 10 squared zones or positions, ...
-      - Size is 2 rows by 5 columns
-      - The zones are always numbered from 0 to 4 (First row) and 5 to 9 (second row)
-      - From a bird's eye perspective, the room has the following zone topology:
-            -- x  -- -- --
-            0  1  2  3  4
-            5  6  7  8  9
-            -- -- -- ^  --
-      ...entrance/exit statement, wall list...
-
-"^" marks the entrance opening and "x" the exit. Openings on the west/east
-sides render as a marker beside the grid row. The parser tolerates
-whitespace and blank-line variation but rejects re-worded prose; the
-comparison canon is per-line: strip, collapse internal runs of spaces,
-drop blank lines.
+``serialize`` is the only template. ``parse`` extracts just the variable
+fields (size, topology markers, ENTRANCE/EXIT statements, wall pairs), builds
+the maze, and requires every line to equal that maze's own serialization
+under the whitespace canon (strip, collapse runs of spaces, drop blank
+lines), so re-worded prose is rejected. Of the faults found (a missing
+marker, a statement that disagrees with its marker, a bad wall pair, the
+first deviating line) it raises the one on the earliest line. A declared
+size with more zones than the text has characters is rejected before
+serializing, so a short text cannot make the parser build a huge grid.
 """
 
 from __future__ import annotations
@@ -27,7 +22,7 @@ import hashlib
 import re
 from dataclasses import dataclass
 
-from .grid import Heading, Maze, MazeError, Opening, cell_rc
+from .grid import Heading, Maze, Opening, boundary_openings, cell_rc, internal_adjacencies
 
 HEADER = "Here is the text description of a maze:"
 TOPOLOGY_HEADER = "- From a bird's eye perspective, the room has the following zone topology:"
@@ -71,7 +66,9 @@ def canonical_lines(text: str) -> list[str]:
 def _ordinal(i: int) -> str:
     if i < len(_ORDINALS):
         return _ORDINALS[i]
-    return f"{i + 1}th"
+    n = i + 1
+    suffix = "th" if n % 100 in (11, 12, 13) else {1: "st", 2: "nd", 3: "rd"}.get(n % 10, "th")
+    return f"{n}{suffix}"
 
 
 def _numbering_phrase(rows: int, cols: int) -> str:
@@ -158,180 +155,83 @@ def text_digest(text: str) -> str:
 
 
 _SIZE_RE = re.compile(r"^- Size is (\d+) rows? by (\d+) columns?$")
-_FLOOR_RE = re.compile(
-    r"^- The floor is always composed of (\d+) squared zones or positions,"
-    r" in a chess-board-like pattern$"
-)
-_ENTRANCE_RE = re.compile(r"^\* ENTRANCE at (\d+)$")
-_EXIT_RE = re.compile(r"^\* EXIT at (\d+)$")
+_STATEMENT_RE = re.compile(r"^\* (ENTRANCE|EXIT) at (\d+)$")
 _WALL_ITEM_RE = re.compile(r"^\* (\d+) and (\d+)$")
 
 
-class _Cursor:
-    def __init__(self, text: str):
-        entries = [(no, _collapse(raw)) for no, raw in enumerate(text.splitlines(), start=1)]
-        self.lines = [(no, s) for no, s in entries if s]
-        self.pos = 0
-
-    def peek(self) -> tuple[int, str]:
-        if self.pos < len(self.lines):
-            return self.lines[self.pos]
-        last_no = self.lines[-1][0] if self.lines else 1
-        return last_no, ""
-
-    def next(self, expectation: str) -> tuple[int, str]:
-        no, s = self.peek()
-        if not s:
-            raise MalformedDescription(no, f"unexpected end of description, expected {expectation}")
-        self.pos += 1
-        return no, s
-
-    def expect_match(self, pattern: re.Pattern, expectation: str) -> tuple[int, re.Match]:
-        no, s = self.next(expectation)
-        m = pattern.match(s)
-        if not m:
-            raise MalformedDescription(no, f"expected {expectation}", s)
-        return no, m
-
-    def expect_prefix(self, prefix: str, expectation: str) -> tuple[int, str]:
-        no, s = self.next(expectation)
-        if not s.startswith(prefix):
-            raise MalformedDescription(no, f"expected {expectation}", s)
-        return no, s
-
-
-def _parse_topology(cur: _Cursor, rows: int, cols: int) -> dict[str, Opening]:
-    """Read the rows+2 topology lines and locate the ^ and x markers.
-
-    Marker side comes from which boundary line (or row gutter) holds it;
-    exact column alignment is not trusted, the ENTRANCE/EXIT statements
-    carry the authoritative cells.
-    """
+def _markers(block: list[tuple[int, str]], rows: int, cols: int) -> dict[str, Opening]:
+    """The first ^ and x markers of the rows+2 topology lines; the side is the
+    boundary line or row gutter that holds each."""
     markers: dict[str, Opening] = {}
-
-    def record(no: int, symbol: str, opening: Opening) -> None:
-        if symbol in markers:
-            raise MalformedDescription(no, f'duplicate "{symbol}" marker in topology block')
-        markers[symbol] = opening
-
-    no, s = cur.next("topology boundary line")
-    tokens = s.split()
-    if len(tokens) != cols or any(t not in ("--", "x", "^") for t in tokens):
-        raise MalformedDescription(no, f"expected {cols} boundary markers (--, x or ^)", s)
-    for col, tok in enumerate(tokens):
-        if tok in ("x", "^"):
-            record(no, tok, Opening(col, Heading.N))
-
-    for r in range(rows):
-        no, s = cur.next("topology grid row")
+    for i, (_, s) in enumerate(block):
         tokens = s.split()
-        expected = [str(r * cols + c) for c in range(cols)]
-        west = east = None
-        if tokens and tokens[0] in ("x", "^"):
-            west, tokens = tokens[0], tokens[1:]
-        if tokens and tokens[-1] in ("x", "^"):
-            east, tokens = tokens[-1], tokens[:-1]
-        if tokens != expected:
-            raise MalformedDescription(no, f"expected zone numbers {' '.join(expected)}", s)
-        if west:
-            record(no, west, Opening(r * cols, Heading.W))
-        if east:
-            record(no, east, Opening(r * cols + cols - 1, Heading.E))
-
-    no, s = cur.next("topology boundary line")
-    tokens = s.split()
-    if len(tokens) != cols or any(t not in ("--", "x", "^") for t in tokens):
-        raise MalformedDescription(no, f"expected {cols} boundary markers (--, x or ^)", s)
-    for col, tok in enumerate(tokens):
-        if tok in ("x", "^"):
-            record(no, tok, Opening((rows - 1) * cols + col, Heading.S))
-
-    for symbol in ("^", "x"):
-        if symbol not in markers:
-            raise MalformedDescription(no, f'topology block has no "{symbol}" marker')
+        if i in (0, rows + 1):
+            base, side = (0, Heading.N) if i == 0 else ((rows - 1) * cols, Heading.S)
+            spots = [(tok, base + c, side) for c, tok in enumerate(tokens[:cols])]
+        else:
+            spots = [(tokens[0], (i - 1) * cols, Heading.W), (tokens[-1], i * cols - 1, Heading.E)]
+        for tok, cell, side in spots:
+            if tok in ("^", "x") and tok not in markers:
+                markers[tok] = Opening(cell, side)
     return markers
 
 
 def parse(text: str) -> Maze:
-    """Inverse of serialize; raises MalformedDescription on the first
+    """Inverse of serialize; raises MalformedDescription naming the earliest
     offending line for anything that deviates beyond whitespace."""
-    cur = _Cursor(text)
-    no, s = cur.peek()
-    if s != HEADER:
-        raise MalformedDescription(no, "expected description header", s)
-    cur.pos += 1
+    entries = ((no, _collapse(raw)) for no, raw in enumerate(text.splitlines(), start=1))
+    lines = [(no, s) for no, s in entries if s]
+    size = next(((no, m) for no, s in lines if (m := _SIZE_RE.match(s))), None)
+    if size is None:
+        head = lines[:3] or [(1, "")]
+        no, s = head[0] if head[0][1] != HEADER else head[-1]
+        raise MalformedDescription(no, "expected description header and size line", s)
+    rows, cols = map(int, size[1].groups())
+    if rows < 1 or cols < 1 or rows * cols > len(text):
+        raise MalformedDescription(size[0], f"size {rows}x{cols} is empty or longer than the text")
 
-    _, floor = cur.expect_match(_FLOOR_RE, "floor composition line")
-    size_no, size = cur.expect_match(_SIZE_RE, "size line")
-    rows, cols = int(size.group(1)), int(size.group(2))
-    if int(floor.group(1)) != rows * cols:
-        raise MalformedDescription(size_no, f"zone count {floor.group(1)} does not match {rows}x{cols}")
-    cur.expect_prefix("- The zones are always numbered from", "zone numbering line")
-    topo_no, _ = cur.expect_prefix(TOPOLOGY_HEADER, "topology header")
-
-    markers = _parse_topology(cur, rows, cols)
-
-    cur.expect_prefix('- You enter the maze from the direction of the "^" symbol',
-                      "entrance sentence")
-    cur.expect_prefix("and exit at position", "exit sentence")
-    ent_no, ent = cur.expect_match(_ENTRANCE_RE, "ENTRANCE statement")
-    exit_no, ext = cur.expect_match(_EXIT_RE, "EXIT statement")
-    entrance_cell, exit_cell = int(ent.group(1)), int(ext.group(1))
-
-    cur.expect_prefix("- Walls cannot be traversed", "wall explanation")
-    cur.expect_prefix("you would not be able to move", "wall explanation")
+    faults: list[tuple[int, str, str]] = []  # (line_no, reason, line_text)
+    texts = [s for _, s in lines]
+    top = texts.index(TOPOLOGY_HEADER) + 1 if TOPOLOGY_HEADER in texts else len(lines)
+    block = lines[top:top + rows + 2]
+    markers = _markers(block, rows, cols)
+    statements = {m.group(1): (no, int(m.group(2)))
+                  for no, s in lines if (m := _STATEMENT_RE.match(s))}
+    for word, symbol, other in (("ENTRANCE", "^", "x"), ("EXIT", "x", "^")):
+        no, cell = statements.get(word, (0, None))
+        if symbol not in markers:
+            faults.append(((block or lines)[-1][0], f'topology block has no "{symbol}" marker', ""))
+            # A stand-in opening at the statement's cell lets the comparison
+            # below still name an earlier deviating line.
+            spots = [o for o in boundary_openings(rows, cols) if o != markers.get(other)]
+            markers[symbol] = next((o for o in spots if o.cell == cell), spots[0])
+        elif cell is not None and cell != markers[symbol].cell:
+            faults.append((no, f'{word} at {cell} does not match the "{symbol}" marker '
+                               f"at zone {markers[symbol].cell}", ""))
 
     walls: list[tuple[int, int]] = []
-    no, s = cur.next("wall list or no-walls line")
-    if s == NO_WALLS_LINE:
-        pass
-    elif s == WALLS_HEADER:
-        while True:
-            no, s = cur.peek()
-            if not s:
-                break
-            m = _WALL_ITEM_RE.match(s)
-            if not m:
-                raise MalformedDescription(no, "expected wall pair '* a and b'", s)
-            a, b = int(m.group(1)), int(m.group(2))
-            if not (0 <= a < rows * cols and 0 <= b < rows * cols):
-                raise MalformedDescription(no, f"wall pair {a} and {b} out of bounds", s)
-            ra, ca = divmod(a, cols)
-            rb, cb = divmod(b, cols)
-            if abs(ra - rb) + abs(ca - cb) != 1:
-                raise MalformedDescription(no, f"zones {a} and {b} are not adjacent", s)
-            walls.append((a, b))
-            cur.pos += 1
-    else:
-        raise MalformedDescription(no, "expected wall list header or no-walls line", s)
+    legal = set(internal_adjacencies(rows, cols))
+    first_wall = texts.index(WALLS_HEADER) + 1 if WALLS_HEADER in texts else len(lines)
+    for no, s in lines[first_wall:]:
+        m = _WALL_ITEM_RE.match(s)
+        pair = tuple(sorted(map(int, m.groups()))) if m else None
+        if pair in legal:
+            walls.append(pair)
+        else:
+            faults.append((no, "zones out of bounds or not adjacent" if m
+                               else "expected wall pair '* a and b'", s))
 
-    no, s = cur.peek()
-    if s:
-        raise MalformedDescription(no, "unexpected content after wall list", s)
-
-    if markers["^"].cell != entrance_cell:
-        raise MalformedDescription(
-            ent_no, f'ENTRANCE at {entrance_cell} does not match the "^" marker '
-                    f"at zone {markers['^'].cell}")
-    if markers["x"].cell != exit_cell:
-        raise MalformedDescription(
-            exit_no, f'EXIT at {exit_cell} does not match the "x" marker '
-                     f"at zone {markers['x'].cell}")
-
-    try:
-        maze = Maze(rows, cols, frozenset(walls), markers["^"], markers["x"])
-    except MazeError as err:
-        raise MalformedDescription(topo_no, str(err))
-
-    # Prose lines only prefix-checked above are pinned down here: the text
-    # must equal its own re-serialization under the whitespace canon.
-    expected = canonical_lines(serialize(maze).text)
-    actual = [s for _, s in cur.lines]
-    for (line_no, got), want in zip(cur.lines, expected):
+    # Every line, prose and fields alike, must equal the maze's own serialization
+    # under the whitespace canon; an empty sentinel line catches a length mismatch.
+    # The explicit maze id spares serialize from hashing its text.
+    maze = Maze(rows, cols, frozenset(walls), markers["^"], markers["x"])
+    expected = canonical_lines(serialize(maze, "parse").text) + [""]
+    for (no, got), want in zip(lines + [(lines[-1][0], "")], expected):
         if got != want:
-            raise MalformedDescription(line_no, f"text deviates from template, expected {want!r}", got)
-    if len(actual) != len(expected):
-        raise MalformedDescription(cur.lines[-1][0], "description length deviates from template")
+            faults.append((no, f"text deviates from template, expected {want!r}", got))
+            break
+    if faults:
+        raise MalformedDescription(*min(faults, key=lambda fault: fault[0]))
     return maze
 
 

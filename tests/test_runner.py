@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -291,6 +292,11 @@ class TestSpecLoading:
         spec_file.write_text(json.dumps({"corpus": "c", "output": "o"}), encoding="utf-8")
         with pytest.raises(SpecError):
             load_spec(spec_file)
+
+    def test_sample_config_loads(self):
+        sample = Path(__file__).parent.parent / "configs" / "experiment.sample.json"
+        spec = load_spec(sample)
+        assert [p.name for p in spec.providers] == ["gpt-4o-mini", "deepseek-chat"]
 
     def test_unreadable_file(self, tmp_path):
         with pytest.raises(SpecError):

@@ -6,7 +6,6 @@ from mazenav.scoring import (
     MODE_EXECUTION,
     MODE_ORACLE,
     RunScore,
-    aggregate,
     score_run,
     summarize,
 )
@@ -149,14 +148,6 @@ class TestAggregate:
         ]
         summary = summarize("m", "few-shot", scores)
         assert summary.fault_histogram == {"WallBlocked": 2}
-
-    def test_aggregate_groups(self):
-        groups = {
-            ("a", "few-shot"): [_score(True, 1.0)],
-            ("b", "few-shot"): [_score(False, 0.25)],
-        }
-        out = aggregate(groups)
-        assert [s.model for s in out] == ["a", "b"]
 
     @given(
         st.lists(

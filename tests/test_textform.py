@@ -1,8 +1,10 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mazenav import textform
 from mazenav.generate import GenConfig, generate
 from mazenav.grid import Heading, Maze, MazeError, Opening
 from mazenav.textform import (
@@ -56,6 +58,14 @@ class TestSerialize:
         assert grid_rows[2][0] == "^"
         assert grid_rows[2][-1] == "x"
 
+    def test_ordinals_past_twenty_rows(self):
+        maze = Maze(23, 1, frozenset(), Opening(0, Heading.N), Opening(22, Heading.S))
+        text = serialize(maze).text
+        for phrase in ("(11th row)", "(12th row)", "(13th row)",
+                       "(21st row)", "(22nd row)", "(23rd row)"):
+            assert phrase in text
+        assert parse(text) == maze
+
 
 class TestParse:
     def test_golden_text(self, m0, golden_description):
@@ -106,6 +116,36 @@ class TestParse:
         with pytest.raises(MalformedDescription):
             parse(serialize(m0).text + "\nP.S. good luck\n")
 
+    def test_zero_size_rejected(self, m0):
+        text = serialize(m0).text.replace("Size is 2 rows by 5 columns", "Size is 0 rows by 0 columns")
+        with pytest.raises(MalformedDescription) as info:
+            parse(text)
+        assert info.value.line_no == 3
+
+    def test_size_beyond_text_rejected_before_serializing(self, m0, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("serialize called")
+
+        text = serialize(m0).text.replace("Size is 2 rows by 5 columns",
+                                          "Size is 1 row by 1000000000 columns")
+        monkeypatch.setattr(textform, "serialize", fail)
+        with pytest.raises(MalformedDescription) as info:
+            parse(text)
+        assert info.value.line_no == 3
+
+    @pytest.mark.parametrize("edit, line_no", [
+        (lambda lines: lines[:3] + lines[4:], 4),
+        (lambda lines: lines[:4] + lines[5:], 5),
+        (lambda lines: ["5 6 4 8 9" if l.split() == list("56789") else l for l in lines], 8),
+        (lambda lines: [l for l in lines if l.strip() != "* EXIT at 1"], 15),
+        (lambda lines: lines + ["P.S. good luck"], 23),
+    ], ids=["delete-line-4", "delete-line-5", "bad-zone-row", "delete-exit", "trailing-text"])
+    def test_pinned_line_numbers(self, m0, edit, line_no):
+        text = "\n".join(edit(serialize(m0).text.splitlines())) + "\n"
+        with pytest.raises(MalformedDescription) as info:
+            parse(text)
+        assert info.value.line_no == line_no
+
     def test_round_trip_seeded_corpus(self):
         rng = random.Random(7)
         cfg = GenConfig(seed=7, require_unique_optimal=False)
@@ -129,6 +169,62 @@ class TestParse:
             maze = Maze(rows, cols, frozenset(),
                         Opening(0, Heading.N), Opening(rows * cols - 1, Heading.S))
         assert parse(serialize(maze).text) == maze
+
+
+MUTATIONS = ("delete", "duplicate", "swap", "digits", "marker tokens", "marker chars", "token")
+TOKEN_POOL = ("^", "x", "--", "0", "1", "9", "12", "and", "*", "-", "zones", "rows", "foo")
+
+
+def mutate(text: str, kind: str, rng: random.Random) -> str:
+    """One seeded edit of a description: the kinds of damage a hand edit or a
+    garbled copy does to the text."""
+    lines = text.splitlines()
+    if kind == "delete":
+        del lines[rng.randrange(len(lines))]
+    elif kind == "duplicate":
+        i = rng.randrange(len(lines))
+        lines.insert(i, lines[i])
+    elif kind == "swap":
+        i, j = rng.sample(range(len(lines)), 2)
+        lines[i], lines[j] = lines[j], lines[i]
+    elif kind == "digits":
+        i = rng.choice([k for k, line in enumerate(lines) if re.search(r"\d", line)])
+        run = rng.choice(list(re.finditer(r"\d+", lines[i])))
+        lines[i] = lines[i][:run.start()] + str(rng.randrange(25)) + lines[i][run.end():]
+    elif kind == "marker tokens":
+        swap = {"^": "x", "x": "^"}
+        lines = [" ".join(swap.get(tok, tok) for tok in line.split(" ")) for line in lines]
+    elif kind == "marker chars":
+        lines = [line.translate({ord("^"): "x", ord("x"): "^"}) for line in lines]
+    elif kind == "token":
+        i = rng.choice([k for k, line in enumerate(lines) if line.split()])
+        tokens = lines[i].split()
+        tokens[rng.randrange(len(tokens))] = rng.choice(TOKEN_POOL + tuple(text.split()))
+        lines[i] = " ".join(tokens)
+    return "\n".join(lines) + "\n"
+
+
+class TestParseMutations:
+    CONFIGS = (
+        GenConfig(seed=5, require_unique_optimal=False),
+        GenConfig(seed=6, opposite_sides=False, require_unique_optimal=False),
+        GenConfig(rows=3, cols=4, wall_count=3, seed=7, require_unique_optimal=False),
+    )
+
+    @pytest.mark.parametrize("cfg", CONFIGS, ids=["default", "any-sides", "3x4"])
+    def test_accepts_only_canonical_text_and_names_a_real_line(self, cfg):
+        rng = random.Random(cfg.seed)
+        for _ in range(10):
+            text = serialize(generate(cfg, rng)).text
+            for kind in MUTATIONS:
+                for _ in range(4):
+                    mutant = mutate(text, kind, rng)
+                    try:
+                        maze = parse(mutant)
+                    except MalformedDescription as err:
+                        assert 1 <= err.line_no <= len(mutant.splitlines()), (kind, mutant)
+                    else:
+                        assert canonical_lines(serialize(maze).text) == canonical_lines(mutant)
 
 
 class TestRenderAscii:

@@ -159,6 +159,15 @@ _STATEMENT_RE = re.compile(r"^\* (ENTRANCE|EXIT) at (\d+)$")
 _WALL_ITEM_RE = re.compile(r"^\* (\d+) and (\d+)$")
 
 
+def _numbers(digits) -> tuple[int, ...] | None:
+    """The digit strings as ints, or None when one holds more digits than
+    int() converts (CPython's limit is 4,300 by default)."""
+    try:
+        return tuple(map(int, digits))
+    except ValueError:
+        return None
+
+
 def _markers(block: list[tuple[int, str]], rows: int, cols: int) -> dict[str, Opening]:
     """The first ^ and x markers of the rows+2 topology lines; the side is the
     boundary line or row gutter that holds each."""
@@ -186,17 +195,25 @@ def parse(text: str) -> Maze:
         head = lines[:3] or [(1, "")]
         no, s = head[0] if head[0][1] != HEADER else head[-1]
         raise MalformedDescription(no, "expected description header and size line", s)
-    rows, cols = map(int, size[1].groups())
-    if rows < 1 or cols < 1 or rows * cols > len(text):
-        raise MalformedDescription(size[0], f"size {rows}x{cols} is empty or longer than the text")
+    dims = _numbers(size[1].groups())
+    if dims is None or min(dims) < 1 or dims[0] * dims[1] > len(text):
+        raise MalformedDescription(size[0], "size is empty or longer than the text", size[1].string)
+    rows, cols = dims
 
     faults: list[tuple[int, str, str]] = []  # (line_no, reason, line_text)
     texts = [s for _, s in lines]
     top = texts.index(TOPOLOGY_HEADER) + 1 if TOPOLOGY_HEADER in texts else len(lines)
     block = lines[top:top + rows + 2]
     markers = _markers(block, rows, cols)
-    statements = {m.group(1): (no, int(m.group(2)))
-                  for no, s in lines if (m := _STATEMENT_RE.match(s))}
+    statements = {}
+    for no, s in lines:
+        if m := _STATEMENT_RE.match(s):
+            word, digits = m.groups()
+            cell = _numbers([digits])
+            if cell is None:
+                faults.append((no, f"{word} zone out of bounds", s))
+            else:
+                statements[word] = (no, cell[0])
     for word, symbol, other in (("ENTRANCE", "^", "x"), ("EXIT", "x", "^")):
         no, cell = statements.get(word, (0, None))
         if symbol not in markers:
@@ -214,7 +231,8 @@ def parse(text: str) -> Maze:
     first_wall = texts.index(WALLS_HEADER) + 1 if WALLS_HEADER in texts else len(lines)
     for no, s in lines[first_wall:]:
         m = _WALL_ITEM_RE.match(s)
-        pair = tuple(sorted(map(int, m.groups()))) if m else None
+        numbers = _numbers(m.groups()) if m else None
+        pair = tuple(sorted(numbers)) if numbers else None
         if pair in legal:
             walls.append(pair)
         else:

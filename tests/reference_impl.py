@@ -2,12 +2,15 @@
 
 These reimplement adjacency and path search directly from the Maze fields
 (no package graph helpers), so they stay independent of the code paths they
-check. Fine for the tiny grids in this suite; exponential in general.
+check; only emit_instructions, which turns one path into instructions, is
+shared. Fine for the tiny grids in this suite; exponential in general.
 """
 
 from __future__ import annotations
 
 from mazenav.grid import Maze
+from mazenav.instructions import Turn
+from mazenav.solver import Solution, emit_instructions
 
 
 def bf_neighbors(maze: Maze, cell: int) -> list[int]:
@@ -55,3 +58,17 @@ def bf_shortest_paths(maze: Maze) -> list[list[int]]:
 def bf_distance(maze: Maze) -> int | None:
     shortest = bf_shortest_paths(maze)
     return len(shortest[0]) - 1 if shortest else None
+
+
+def bf_optimal_solutions(maze: Maze) -> list[Solution]:
+    """Minimal-instruction solutions by listing every shortest path: emit
+    each path's instructions, keep those with the fewest, and sort them by
+    (turn count, cell path)."""
+    candidates = []
+    for path in bf_shortest_paths(maze):
+        instrs = emit_instructions(maze, path)
+        turns = sum(1 for x in instrs if isinstance(x, Turn))
+        candidates.append(Solution(tuple(path), tuple(instrs), turns))
+    best = min(len(s.instructions) for s in candidates)
+    chosen = [s for s in candidates if len(s.instructions) == best]
+    return sorted(chosen, key=lambda s: (s.turn_count, s.cells))

@@ -16,7 +16,7 @@ from mazenav.solver import (
     solution_text,
 )
 
-from .reference_impl import bf_distance, bf_shortest_paths
+from .reference_impl import bf_distance, bf_optimal_solutions, bf_shortest_paths
 
 
 class TestShortestCellPaths:
@@ -48,6 +48,10 @@ class TestShortestCellPaths:
         for _ in range(150):
             maze = generate(cfg, rng)
             assert shortest_cell_paths(maze) == bf_shortest_paths(maze)
+
+    def test_long_corridor_no_recursion(self):
+        maze = Maze(1, 1100, frozenset(), Opening(0, Heading.W), Opening(1099, Heading.E))
+        assert shortest_cell_paths(maze) == [list(range(1100))]
 
 
 class TestEmitInstructions:
@@ -126,6 +130,35 @@ class TestOptimalSolutions:
             maze = generate(cfg, rng)
             ref = reference_solution(maze)
             assert len(ref.cells) - 1 == bf_distance(maze)
+
+    # 1,250 mazes over five configs with ties allowed, so mazes with
+    # several optima are compared too.
+    @pytest.mark.parametrize("cfg", [
+        GenConfig(require_unique_optimal=False),
+        GenConfig(opposite_sides=False, require_unique_optimal=False),
+        GenConfig(rows=3, cols=4, require_unique_optimal=False),
+        GenConfig(rows=5, cols=5, wall_count=10, max_path=12, require_unique_optimal=False),
+        GenConfig(rows=1, cols=9, wall_count=0, min_path=1, max_path=8,
+                  opposite_sides=False, require_unique_optimal=False),
+    ], ids=["default", "any-sides", "3x4", "5x5-10-walls", "1x9"])
+    def test_matches_oracle_seeded(self, cfg):
+        rng = random.Random(31)
+        for _ in range(250):
+            maze = generate(cfg, rng)
+            assert optimal_solutions(maze) == bf_optimal_solutions(maze)
+
+    def test_open_30x30_grid(self):
+        maze = Maze(30, 30, frozenset(), Opening(1, Heading.N), Opening(898, Heading.S))
+        solutions = optimal_solutions(maze)
+        assert len(solutions) == 2
+        assert solutions[0].instructions == (
+            StepIn(1), Turn("left"), Forward(28), Turn("right"), Forward(898), ExitAt(898),
+        )
+        assert solutions[1].instructions[:2] == (StepIn(1), Forward(871))
+
+    def test_long_corridor_no_recursion(self):
+        maze = Maze(1, 3000, frozenset(), Opening(0, Heading.W), Opening(2999, Heading.E))
+        assert reference_solution(maze).instructions == (StepIn(0), Forward(2999), ExitAt(2999))
 
     def test_solution_invariants(self, m0):
         sol = reference_solution(m0)

@@ -133,6 +133,20 @@ class TestParse:
             parse(text)
         assert info.value.line_no == 3
 
+    # int() refuses more than 4,300 digits; such a number must still be
+    # reported on its line, not as a bare ValueError.
+    @pytest.mark.parametrize("old, new, line_no", [
+        ("Size is 2 rows", "Size is {} rows", 3),
+        ("* ENTRANCE at 8", "* ENTRANCE at {}", 13),
+        ("* EXIT at 1", "* EXIT at {}", 14),
+        ("* 6 and 7", "* 6 and {}", 21),
+    ], ids=["size", "entrance", "exit", "wall"])
+    def test_very_long_number_names_its_line(self, m0, old, new, line_no):
+        text = serialize(m0).text.replace(old, new.format("9" * 5000))
+        with pytest.raises(MalformedDescription) as info:
+            parse(text)
+        assert info.value.line_no == line_no
+
     @pytest.mark.parametrize("edit, line_no", [
         (lambda lines: lines[:3] + lines[4:], 4),
         (lambda lines: lines[:4] + lines[5:], 5),

@@ -3,7 +3,16 @@
 One wire dialect is spoken: the OpenAI-compatible chat-completions shape,
 with per-provider endpoint overrides. Every call builds its payload from
 scratch (no conversation state is ever reused) and the full message list is
-hashable, which is what makes trials resumable.
+hashable, which is what makes trials resumable. A run shares one
+``PromptCache`` across its trials, so each maze is serialized and each
+scenario's solved examples are rendered once per run; the messages are the
+same as without it.
+
+HTTP goes through the standard library (``urllib.request``), imported on
+the first request: proxies come from ``HTTP(S)_PROXY``, read at that first
+request, and ``NO_PROXY``; TLS is verified against the system CA store; and
+a redirect of the POST is not followed but returned as its status. The rate cap and the retry policy
+apply to every attempt.
 
 Endpoints starting with ``mock:`` are served from a JSON script file mapping
 "<maze_id>|<scenario>" keys to response text; "*" is the fallback key. Mock
@@ -12,6 +21,7 @@ completions are fully deterministic and need no credentials.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -135,21 +145,60 @@ class Completion:
 
 
 def build_messages(
-    test_maze: Maze, shots: list[tuple[Maze, Solution]], scenario: Scenario
+    test_maze: Maze,
+    shots: list[tuple[Maze, Solution]],
+    scenario: Scenario,
+    *,
+    cache: PromptCache | None = None,
 ) -> list[ChatMessage]:
-    """System prompt, then one solved example per shot, then the test question."""
+    """System prompt, then one solved example per shot, then the test question.
+
+    ``cache`` reuses the parts that repeat across the trials of one run; the
+    messages are the same with or without it.
+    """
     if len(shots) != scenario.k:
         raise ValueError(f"{scenario.name} needs {scenario.k} shots, got {len(shots)}")
-    messages = [ChatMessage("system", SYSTEM_PROMPT)]
-    for shot_maze, solution in shots:
-        if shot_maze == test_maze:
-            raise ValueError("shot maze equals the test maze")
-        messages.append(
-            ChatMessage("user", f"{TEST_QUESTION}\n\n{serialize(shot_maze).text}")
-        )
-        messages.append(ChatMessage("assistant", render_sequence(solution.instructions)))
-    messages.append(ChatMessage("user", f"{TEST_QUESTION}\n\n{serialize(test_maze).text}"))
-    return messages
+    if any(shot_maze == test_maze for shot_maze, _ in shots):
+        raise ValueError("shot maze equals the test maze")
+    if cache is None:
+        cache = PromptCache()
+    return [*cache.prefix(shots, scenario), cache.question(test_maze)]
+
+
+class PromptCache:
+    """Prompt parts shared by the trials of one run: the question message of
+    each maze, serialized once, and the system-and-examples prefix of each
+    scenario, built once. It grows with the run's mazes and scenarios, so
+    make one per run. Worker threads may share it: a race at worst builds
+    the same message twice."""
+
+    def __init__(self) -> None:
+        self._questions: dict[Maze, ChatMessage] = {}
+        self._prefixes: dict[str, tuple[tuple, tuple[ChatMessage, ...]]] = {}
+
+    def question(self, maze: Maze) -> ChatMessage:
+        message = self._questions.get(maze)
+        if message is None:
+            message = ChatMessage("user", f"{TEST_QUESTION}\n\n{serialize(maze).text}")
+            self._questions[maze] = message
+        return message
+
+    def prefix(
+        self, shots: list[tuple[Maze, Solution]], scenario: Scenario
+    ) -> tuple[ChatMessage, ...]:
+        # One slot per scenario, reused while its shots are equal; within a
+        # run they are the same objects, so the comparison is cheap.
+        shots = tuple(shots)
+        cached = self._prefixes.get(scenario.name)
+        if cached is not None and cached[0] == shots:
+            return cached[1]
+        messages = [ChatMessage("system", SYSTEM_PROMPT)]
+        for shot_maze, solution in shots:
+            messages.append(self.question(shot_maze))
+            messages.append(ChatMessage("assistant", render_sequence(solution.instructions)))
+        prefix = tuple(messages)
+        self._prefixes[scenario.name] = (shots, prefix)
+        return prefix
 
 
 def prompt_hash(messages: list[ChatMessage]) -> str:
@@ -201,18 +250,42 @@ def _bucket(cfg: ProviderConfig) -> _TokenBucket:
         return bucket
 
 
-def _http_transport(url: str, headers: dict, payload: dict, timeout: float):
-    import requests
+@functools.lru_cache(maxsize=1)
+def _opener():
+    import urllib.request
 
+    class NoRedirect(urllib.request.HTTPRedirectHandler):
+        def redirect_request(self, req, fp, code, msg, headers, newurl):
+            return None  # the 3xx reaches the caller as an HTTPError
+
+    return urllib.request.build_opener(NoRedirect)
+
+
+def _http_transport(url: str, headers: dict, payload: dict, timeout: float):
+    """POST ``payload`` as JSON; (status, parsed body, or {} if not JSON).
+    Any status, error statuses included, is returned; network failures and
+    timeouts raise TransportFailure."""
+    import http.client
+    import urllib.error
+    import urllib.request
+
+    data = json.dumps(payload).encode("utf-8")
+    request = urllib.request.Request(url, data=data, headers=headers, method="POST")
     try:
-        resp = requests.post(url, json=payload, headers=headers, timeout=timeout)
-    except requests.RequestException as err:
-        raise TransportFailure(str(err))
+        try:
+            response = _opener().open(request, timeout=timeout)
+        except urllib.error.HTTPError as err:
+            response = err  # a non-2xx reply: its status and body are the result
+        with response:
+            status, raw = response.status, response.read()
+    except (http.client.HTTPException, OSError) as err:
+        # URLError and socket timeouts are OSErrors.
+        raise TransportFailure(str(err)) from err
     try:
-        body = resp.json()
+        body = json.loads(raw)
     except ValueError:
         body = {}
-    return resp.status_code, body
+    return status, body
 
 
 def _mock_complete(cfg: ProviderConfig, messages, trial_key: str | None) -> Completion:
@@ -242,7 +315,8 @@ def complete(
     """One stateless chat-completion request with retry on transient failures.
 
     Rate-limit (429) and 5xx/network errors back off exponentially with
-    jitter up to cfg.max_retries retries; auth failures never retry.
+    jitter up to cfg.max_retries retries; auth failures never retry. Every
+    attempt first reserves a slot under cfg.rate_per_s.
     """
     if cfg.endpoint.startswith("mock:"):
         return _mock_complete(cfg, messages, trial_key)
@@ -253,19 +327,18 @@ def complete(
         if not key:
             raise AuthError(f"credential variable {cfg.credential_env} is not set")
         headers["Authorization"] = f"Bearer {key}"
-    if cfg.rate_per_s:
-        wait = _bucket(cfg).reserve(time.monotonic())
-        if wait > 0:
-            sleeper(wait)
 
     transport = transport or _http_transport
-    rng = rng or random.Random()
     payload = request_payload(cfg, messages)
     started = time.perf_counter()
     attempts = 0
     delay = 0.5
     while True:
         attempts += 1
+        if cfg.rate_per_s:
+            wait = _bucket(cfg).reserve(time.monotonic())
+            if wait > 0:
+                sleeper(wait)
         retryable = None
         try:
             status, body = transport(cfg.endpoint, headers, payload, cfg.timeout_s)
@@ -286,6 +359,8 @@ def complete(
             if "rate limited" in (retryable or ""):
                 raise RateLimitExhausted(f"gave up after {attempts} attempts: {retryable}")
             raise TransportFailure(f"gave up after {attempts} attempts: {retryable}")
+        if rng is None:
+            rng = random.Random()  # seeded from the OS, so only once a retry needs it
         sleeper(delay + rng.uniform(0.0, delay / 2))
         delay *= 2
 

@@ -68,8 +68,7 @@ def _opening_on(cfg: GenConfig, side: Heading, rng: random.Random) -> Opening:
     return Opening(row * cfg.cols + col, side)
 
 
-def _candidate(cfg: GenConfig, rng: random.Random) -> Maze | None:
-    adjacencies = internal_adjacencies(cfg.rows, cfg.cols)
+def _candidate(cfg: GenConfig, rng: random.Random, adjacencies: list) -> Maze | None:
     walls = rng.sample(adjacencies, cfg.wall_count)
     entrance, exit_ = _sample_openings(cfg, rng)
     try:
@@ -87,8 +86,9 @@ def _candidate(cfg: GenConfig, rng: random.Random) -> Maze | None:
 def generate(cfg: GenConfig, rng: random.Random | None = None) -> Maze:
     """Deterministic function of cfg.seed (or of the supplied rng stream)."""
     rng = rng if rng is not None else random.Random(cfg.seed)
+    adjacencies = internal_adjacencies(cfg.rows, cfg.cols)
     for _ in range(cfg.max_attempts):
-        maze = _candidate(cfg, rng)
+        maze = _candidate(cfg, rng, adjacencies)
         if maze is not None:
             return maze
     raise GenerationError(

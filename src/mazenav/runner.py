@@ -5,7 +5,9 @@ directory. Trials whose key (provider, model, scenario, maze, repeat) is
 already present are skipped, so interrupted runs resume and finished runs
 are idempotent. Workers only do pure scoring plus the gateway call; records
 are written by the submitting thread in planning order, which keeps the log
-byte-stable regardless of scheduling.
+byte-stable regardless of scheduling. A trial that raises anything but a
+GatewayError, or an interrupt, cancels the trials still queued and
+propagates; the records written before it stay.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from .corpus import load_corpus
 from .gateway import (
     DEFAULT_SCENARIOS,
     GatewayError,
+    PromptCache,
     ProviderConfig,
     Scenario,
     build_messages,
@@ -119,7 +122,9 @@ class RunRecord:
         return RunScore.from_dict(self.scores[mode])
 
     def to_json_line(self) -> str:
-        return json.dumps(dataclasses.asdict(self), sort_keys=True, separators=(",", ":"))
+        # The field values are plain JSON data already, so the instance dict
+        # is dumped as it is, with no deep copy.
+        return json.dumps(vars(self), sort_keys=True, separators=(",", ":"))
 
     @classmethod
     def from_json_line(cls, line: str) -> "RunRecord":
@@ -179,8 +184,9 @@ def _run_trial(
     reference: Solution,
     repeat: int,
     clock,
+    prompts: PromptCache,
 ) -> RunRecord:
-    messages = build_messages(maze, shots, scenario)
+    messages = build_messages(maze, shots, scenario, cache=prompts)
     digest = prompt_hash(messages)
     trial_key = f"{maze_id}|{scenario.name}"
     try:
@@ -190,7 +196,8 @@ def _run_trial(
         trace = execute(maze, usable, lenient_exit=spec.lenient_exit)
         scores = {
             mode: score_run(
-                maze, parsed, mode, reference=reference, lenient_exit=spec.lenient_exit
+                maze, parsed, mode, reference=reference, lenient_exit=spec.lenient_exit,
+                trace=trace,
             ).to_dict()
             for mode in MODES
         }
@@ -252,13 +259,13 @@ def run(spec: ExperimentSpec, *, clock=time.time) -> list[MetricsSummary]:
     corpus = load_corpus(spec.corpus_dir)
     if not corpus.tests:
         raise SpecError("corpus has no test mazes")
-    references = {maze_id: reference_solution(maze) for maze_id, maze in corpus.tests}
     shot_solutions = [(maze, reference_solution(maze)) for _, maze in corpus.shots]
     scenario_shots = {sc.name: shots_for(sc, shot_solutions) for sc in spec.scenarios}
 
     spec.output_dir.mkdir(parents=True, exist_ok=True)
     log_path = spec.output_dir / RECORDS_NAME
-    existing = {record.key() for record in _load_records(log_path)}
+    records = _load_records(log_path)
+    existing = {record.key() for record in records}
 
     planned = [
         (provider, scenario, maze_id, maze, repeat)
@@ -268,7 +275,12 @@ def run(spec: ExperimentSpec, *, clock=time.time) -> list[MetricsSummary]:
         for repeat in range(spec.repeats)
         if (provider.name, provider.model, scenario.name, maze_id, repeat) not in existing
     ]
+    needed = {maze_id for _, _, maze_id, _, _ in planned}
+    references = {
+        maze_id: reference_solution(maze) for maze_id, maze in corpus.tests if maze_id in needed
+    }
 
+    prompts = PromptCache()
     with open(log_path, "a", encoding="utf-8") as log, ThreadPoolExecutor(
         max_workers=spec.concurrency
     ) as pool:
@@ -284,14 +296,24 @@ def run(spec: ExperimentSpec, *, clock=time.time) -> list[MetricsSummary]:
                 references[maze_id],
                 repeat,
                 clock,
+                prompts,
             )
             for provider, scenario, maze_id, maze, repeat in planned
         ]
-        for future in futures:
-            log.write(future.result().to_json_line() + "\n")
-            log.flush()
+        try:
+            for future in futures:
+                record = future.result()
+                log.write(record.to_json_line() + "\n")
+                log.flush()
+                records.append(record)
+        except BaseException:
+            # Spend no more provider calls on a run that has failed; leaving
+            # the block still waits for the trials already running.
+            pool.shutdown(wait=False, cancel_futures=True)
+            raise
 
-    records = load_records(log_path)
+    if not records:
+        raise SpecError(f"no records in {log_path}")
     return summaries_from(records, spec.scoring_mode)
 
 

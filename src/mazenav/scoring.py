@@ -21,7 +21,7 @@ from typing import Sequence
 
 from .grid import Maze
 from .instructions import ParsedResponse
-from .simulator import FaultKind, execute
+from .simulator import ExecutionTrace, FaultKind, execute
 from .solver import Solution, reference_solution
 
 MODE_ORACLE = "oracle-match"
@@ -72,8 +72,13 @@ def score_run(
     *,
     reference: Solution | None = None,
     lenient_exit: bool = False,
+    trace: ExecutionTrace | None = None,
 ) -> RunScore:
-    """Score one parsed response against the maze's reference solution."""
+    """Score one parsed response against the maze's reference solution.
+
+    ``trace``, if given, must be the execution of the response's scored
+    prefix under the same ``lenient_exit``; execution mode then reuses it.
+    """
     if mode not in MODES:
         raise ValueError(f"unknown scoring mode: {mode!r}")
     ref = reference if reference is not None else reference_solution(maze)
@@ -98,7 +103,8 @@ def score_run(
         partial = 1.0 if complete else min(match, ref_len) / ref_len
         return RunScore(complete, partial, None if complete else fault, mode)
 
-    trace = execute(maze, usable, lenient_exit=lenient_exit)
+    if trace is None:
+        trace = execute(maze, usable, lenient_exit=lenient_exit)
     if trace.complete:
         return RunScore(True, 1.0, None, mode)
     ok_steps = trace.failed_at

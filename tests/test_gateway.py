@@ -1,7 +1,13 @@
 import json
+import socket
+import sys
+import threading
+import time
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
+from mazenav import gateway
 from mazenav.gateway import (
     DEFAULT_SCENARIOS,
     FEW_SHOT,
@@ -13,12 +19,14 @@ from mazenav.gateway import (
     ChatMessage,
     Completion,
     GatewayError,
+    PromptCache,
     MalformedResponse,
     ProviderConfig,
     RateLimitExhausted,
     Scenario,
     TransportFailure,
     _TokenBucket,
+    _http_transport,
     build_messages,
     complete,
     prompt_hash,
@@ -108,6 +116,72 @@ class TestBuildMessages:
         )
 
 
+class TestPromptCache:
+    def test_same_messages_as_without_cache(self, m0, m0_nowall, shot_pool):
+        cache = PromptCache()
+        pool = [(m, s) for m, s in shot_pool if m not in (m0, m0_nowall)]
+        for test_maze in (m0, m0_nowall, m0):
+            for scenario, shots in ((ZERO_SHOT, []), (ONE_SHOT, pool[:1]), (FEW_SHOT, pool[:5])):
+                assert build_messages(test_maze, shots, scenario, cache=cache) == (
+                    build_messages(test_maze, shots, scenario)
+                )
+
+    def test_each_maze_serialized_once(self, monkeypatch, m0, m0_nowall, shot_pool):
+        serialized = []
+        real = gateway.serialize
+        monkeypatch.setattr(gateway, "serialize", lambda m: serialized.append(m) or real(m))
+        cache = PromptCache()
+        for _ in range(3):
+            for test_maze in (m0, m0_nowall):
+                build_messages(test_maze, shot_pool[:5], FEW_SHOT, cache=cache)
+        assert len(serialized) == 5 + 2
+
+    def test_other_shots_rebuild_the_prefix(self, m0, shot_pool):
+        cache = PromptCache()
+        first = build_messages(m0, shot_pool[:1], ONE_SHOT, cache=cache)
+        second = build_messages(m0, shot_pool[1:2], ONE_SHOT, cache=cache)
+        assert second == build_messages(m0, shot_pool[1:2], ONE_SHOT)
+        assert first[1] != second[1]
+
+    def test_shared_by_threads(self, m0, m0_nowall, shot_pool):
+        mazes = [m for m, _ in shot_pool[:3]] + [m0, m0_nowall]
+        shots = shot_pool[3:]
+        scenarios = ((ZERO_SHOT, []), (ONE_SHOT, shots[:1]))
+        want = {
+            (i, scenario.name): build_messages(maze, s, scenario)
+            for i, maze in enumerate(mazes)
+            for scenario, s in scenarios
+        }
+        cache = PromptCache()
+        got = []
+
+        def worker():
+            for _ in range(20):
+                for i, maze in enumerate(mazes):
+                    for scenario, s in scenarios:
+                        got.append(
+                            build_messages(maze, s, scenario, cache=cache)
+                            == want[(i, scenario.name)]
+                        )
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(got) == 8 * 20 * len(want) and all(got)
+
+    def test_validation_still_applies(self, m0):
+        with pytest.raises(ValueError):
+            build_messages(m0, [(m0, reference_solution(m0))], ONE_SHOT, cache=PromptCache())
+
+
 class TestPromptHash:
     def test_stable(self, m0):
         messages = build_messages(m0, [], ZERO_SHOT)
@@ -152,6 +226,26 @@ class TestComplete:
         assert out.attempts == 3
         assert len(delays) == 2
         assert delays[1] > delays[0]  # exponential backoff
+
+    def test_rate_cap_reserved_on_every_attempt(self, monkeypatch, m0):
+        monkeypatch.setenv("PROV_KEY", "k")
+        reservations = []
+        real_reserve = _TokenBucket.reserve
+
+        def reserve(bucket, now):
+            reservations.append(now)
+            return real_reserve(bucket, now)
+
+        monkeypatch.setattr(_TokenBucket, "reserve", reserve)
+        transport = ScriptedTransport([(429, {}), (429, {}), (200, ok_body())])
+        out = complete(
+            http_cfg(name="rate-capped-retries", rate_per_s=1000.0),
+            build_messages(m0, [], ZERO_SHOT),
+            transport=transport,
+            sleeper=lambda _s: None,
+        )
+        assert out.attempts == 3
+        assert len(reservations) == len(transport.calls) == 3
 
     def test_rate_limit_exhausted(self, monkeypatch, m0):
         monkeypatch.setenv("PROV_KEY", "k")
@@ -259,3 +353,108 @@ def test_chat_message_validation():
         ChatMessage("narrator", "hi")
     with pytest.raises(ValueError):
         ChatMessage("user", "")
+
+
+class _ReplyHandler(BaseHTTPRequestHandler):
+    """Serves ``server.replies[path]``: a list of (status, body bytes, delay s),
+    popped front to back, the last one repeated."""
+
+    def do_POST(self) -> None:
+        self.server.requests.append(
+            (self.path, dict(self.headers), self.rfile.read(int(self.headers["Content-Length"])))
+        )
+        queue = self.server.replies[self.path]
+        status, body, delay = queue.pop(0) if len(queue) > 1 else queue[0]
+        time.sleep(delay)
+        self.send_response(status)
+        if status in (301, 302, 303, 307, 308):
+            self.send_header("Location", "/ok")
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+    def log_message(self, format, *args) -> None:
+        pass
+
+
+class _QuietServer(ThreadingHTTPServer):
+    def handle_error(self, request, client_address) -> None:
+        pass  # the timeout test's client hangs up before the reply
+
+
+class TestHttpTransport:
+    """The real transport against a stdlib server on 127.0.0.1."""
+
+    @pytest.fixture
+    def server(self, monkeypatch):
+        monkeypatch.setenv("no_proxy", "127.0.0.1")
+        monkeypatch.setenv("NO_PROXY", "127.0.0.1")
+        server = _QuietServer(("127.0.0.1", 0), _ReplyHandler)
+        server.replies = {}
+        server.requests = []
+        thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
+        thread.start()
+        yield server
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+        assert not thread.is_alive()
+
+    def url(self, server, path):
+        return f"http://127.0.0.1:{server.server_address[1]}{path}"
+
+    def test_200_json(self, server):
+        server.replies["/ok"] = [(200, json.dumps(ok_body("route")).encode(), 0.0)]
+        payload = {"model": "m", "messages": [{"role": "user", "content": "Zone é"}]}
+        status, body = _http_transport(
+            self.url(server, "/ok"), {"Content-Type": "application/json", "X-Probe": "1"},
+            payload, 5.0,
+        )
+        assert (status, body) == (200, ok_body("route"))
+        ((path, headers, sent),) = server.requests
+        assert sent == json.dumps(payload).encode("utf-8")
+        assert headers["Content-Type"] == "application/json"
+        assert headers["X-Probe"] == "1"
+
+    def test_404_returns_status_and_body(self, server):
+        error = {"error": {"message": "no such model"}}
+        server.replies["/missing"] = [(404, json.dumps(error).encode(), 0.0)]
+        assert _http_transport(self.url(server, "/missing"), {}, {}, 5.0) == (404, error)
+
+    def test_redirect_not_followed(self, server):
+        server.replies["/moved"] = [(302, b"{}", 0.0)]
+        server.replies["/ok"] = [(200, json.dumps(ok_body()).encode(), 0.0)]
+        assert _http_transport(self.url(server, "/moved"), {}, {}, 5.0) == (302, {})
+        assert [path for path, _, _ in server.requests] == ["/moved"]
+
+    def test_500_retried_by_complete(self, server):
+        server.replies["/flaky"] = [
+            (500, b"{}", 0.0),
+            (200, json.dumps(ok_body("second try")).encode(), 0.0),
+        ]
+        sleeps = []
+        cfg = ProviderConfig(name="local", model="m", endpoint=self.url(server, "/flaky"))
+        out = complete(cfg, [ChatMessage("user", "hi")], sleeper=sleeps.append)
+        assert (out.text, out.attempts, len(sleeps)) == ("second try", 2, 1)
+
+    def test_non_json_200_is_malformed(self, server):
+        server.replies["/html"] = [(200, b"<html>busy</html>", 0.0)]
+        assert _http_transport(self.url(server, "/html"), {}, {}, 5.0) == (200, {})
+        cfg = ProviderConfig(name="local", model="m", endpoint=self.url(server, "/html"))
+        with pytest.raises(MalformedResponse):
+            complete(cfg, [ChatMessage("user", "hi")])
+
+    def test_closed_port_is_transport_failure(self):
+        with socket.socket() as sock:
+            sock.bind(("127.0.0.1", 0))
+            port = sock.getsockname()[1]
+        with pytest.raises(TransportFailure):
+            _http_transport(f"http://127.0.0.1:{port}/v1", {}, {}, 5.0)
+
+    def test_read_timeout_is_transport_failure(self, server):
+        server.replies["/slow"] = [(200, json.dumps(ok_body()).encode(), 1.0)]
+        started = time.perf_counter()
+        with pytest.raises(TransportFailure):
+            _http_transport(self.url(server, "/slow"), {}, {}, 0.2)
+        assert time.perf_counter() - started < 0.9

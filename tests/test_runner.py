@@ -1,8 +1,10 @@
 import json
+import time
 from pathlib import Path
 
 import pytest
 
+from mazenav import gateway, runner
 from mazenav.corpus import build_corpus
 from mazenav.gateway import DEFAULT_SCENARIOS, ProviderConfig, Scenario
 from mazenav.generate import GenConfig
@@ -141,6 +143,118 @@ class TestRun:
                 mazes[record.maze_id], shots_for(scenario, shots), scenario
             )
             assert prompt_hash(messages) == record.prompt_hash
+
+
+class TestFailFast:
+    """A trial that crashes, or an interrupt, stops the run: queued trials
+    make no provider call and the records written before it stay."""
+
+    def crashing_run(self, tmp_path, monkeypatch, exc, crash_at, concurrency):
+        corpus_dir = tmp_path / "corpus"
+        corpus = build_corpus(corpus_dir, GenConfig(seed=31), 34, 6)
+        endpoint = write_script(tmp_path, corpus, oracle_answers(corpus))
+        spec = make_spec(tmp_path, corpus_dir, endpoint, concurrency=concurrency)
+        calls = []
+        real_complete, real_parse = gateway.complete, runner.parse_response
+
+        def slow_complete(*args, **kwargs):
+            calls.append(1)
+            time.sleep(0.001)  # a provider round-trip, short
+            return real_complete(*args, **kwargs)
+
+        parses = []
+
+        def parse(text):
+            parses.append(1)
+            if len(parses) == crash_at:
+                raise exc("injected")
+            return real_parse(text)
+
+        monkeypatch.setattr(gateway, "complete", slow_complete)
+        monkeypatch.setattr(runner, "parse_response", parse)
+        with pytest.raises(exc, match="injected"):
+            run(spec, clock=lambda: 0.0)
+        return spec, calls, 3 * len(corpus.tests)
+
+    @pytest.mark.parametrize("exc", [RuntimeError, KeyboardInterrupt])
+    @pytest.mark.parametrize("concurrency", [1, 4])
+    def test_crash_in_first_trial_stops_queued_trials(
+        self, tmp_path, monkeypatch, exc, concurrency
+    ):
+        spec, calls, planned = self.crashing_run(tmp_path, monkeypatch, exc, 1, concurrency)
+        assert planned == 102
+        assert len(calls) < planned // 2
+
+    def test_records_before_the_crash_stay_and_resume(self, tmp_path, monkeypatch):
+        spec, calls, planned = self.crashing_run(tmp_path, monkeypatch, RuntimeError, 3, 1)
+        log_path = spec.output_dir / RECORDS_NAME
+        kept = log_path.read_text(encoding="utf-8")
+        assert len(kept.splitlines()) == 2
+        monkeypatch.undo()
+        run(spec, clock=lambda: 0.0)
+        full = log_path.read_text(encoding="utf-8")
+        assert full.startswith(kept)
+        assert len(full.splitlines()) == planned
+
+
+class TestRunSummaries:
+    def test_summaries_equal_those_of_the_written_log(self, tmp_path, small_corpus):
+        corpus_dir, corpus = small_corpus
+        endpoint = write_script(tmp_path, corpus, oracle_answers(corpus))
+        spec = make_spec(tmp_path, corpus_dir, endpoint, scoring_mode=MODE_EXECUTION)
+        log_path = spec.output_dir / RECORDS_NAME
+        run(spec, clock=lambda: 0.0)
+        log_path.write_text(
+            "".join(log_path.read_text(encoding="utf-8").splitlines(keepends=True)[:5]),
+            encoding="utf-8",
+        )
+        summaries = run(spec, clock=lambda: 0.0)
+        assert summaries == summaries_from(load_records(log_path), MODE_EXECUTION)
+
+    def test_log_read_once(self, tmp_path, small_corpus, monkeypatch):
+        corpus_dir, corpus = small_corpus
+        endpoint = write_script(tmp_path, corpus, oracle_answers(corpus))
+        spec = make_spec(tmp_path, corpus_dir, endpoint)
+        run(spec, clock=lambda: 0.0)
+        lines = []
+        real = RunRecord.from_json_line.__func__
+        monkeypatch.setattr(
+            RunRecord, "from_json_line",
+            classmethod(lambda cls, line: lines.append(line) or real(cls, line)),
+        )
+        run(spec, clock=lambda: 0.0)
+        assert len(lines) == 3 * 4
+
+
+class TestRecordLine:
+    def test_same_bytes_as_asdict(self, tmp_path, small_corpus, monkeypatch):
+        import dataclasses
+
+        corpus_dir, corpus = small_corpus
+        endpoint = write_script(tmp_path, corpus, oracle_answers(corpus))
+        spec = make_spec(
+            tmp_path,
+            corpus_dir,
+            endpoint,
+            providers=[
+                ProviderConfig(name="good", model="g", endpoint=endpoint),
+                ProviderConfig(name="broken", model="b", endpoint="mock:/nonexistent.json"),
+            ],
+        )
+        written = []
+        real = RunRecord.to_json_line
+
+        def checked(record):
+            written.append(record.provider)
+            line = real(record)
+            assert line == json.dumps(
+                dataclasses.asdict(record), sort_keys=True, separators=(",", ":")
+            )
+            return line
+
+        monkeypatch.setattr(RunRecord, "to_json_line", checked)
+        run(spec, clock=lambda: 0.0)
+        assert written == ["good"] * 12 + ["broken"] * 12
 
 
 class TestShotSelection:

@@ -1,29 +1,45 @@
 """Ground-truth solver: shortest cell paths and minimal instruction sequences.
 
-The reference solution for a maze is the first entry of optimal_solutions:
-among the shortest cell paths, those with the fewest instructions, sorted by
-(turn count, cell path). optimal_solutions never lists every shortest path.
-Two BFS passes, from the entrance and from the exit, give the DAG of
-shortest-path moves. A cost-to-go over (cell, heading of the last move)
-states, filled in descending BFS layers, holds the fewest instructions still
-needed: a move in the current heading adds none, any other move (and the
-first move, which always emits a Forward) adds its turns plus one, and the
-exit adds the turns to face its side. A walk with an explicit stack then
-follows only the moves that keep that optimum.
+The reference solution of a maze is the first of its optimal solutions:
+among the shortest cell paths, those with the fewest instructions, ordered
+by (turn count, cell path). One BFS from the exit, stopped at the entrance,
+gives each cell it reaches its successors: the neighbours one move nearer
+the exit. Followed from the entrance, these are exactly the moves of the
+shortest paths. A cost-to-go over (cell, heading of the last move) states,
+filled in that BFS order, holds the fewest instructions still needed: a
+move in the current heading adds none, any other move (and the first move,
+which always emits a Forward) adds its turns plus one, and the exit adds
+the turns to face its side.
+
+Optimal solutions all have the same turn count, so the cell path alone
+orders them. A shortest path never reverses, so each heading change costs
+one turn and one Forward: instructions = 3 + turns + changes, with turns =
+first-move turns (0 or 1) + changes + exit turns (0 to 2). Two optima have
+equal instructions, so turns that differ by k mean changes that differ by
+-k and first-move plus exit turns that differ by 2k. The net rotation from
+the initial heading to the exit side fixes the parity of the turns, so a
+nonzero k is at least 2 and 2k exceeds the range 0 to 3 of those turns.
+
+reference_solution is thus one walk from the entrance that takes the
+lowest successor keeping the instruction count optimal; it lists and sorts
+nothing. optimal_solutions follows every such move and sorts what it
+finds. Both emit instructions from the headings of the moves, which the
+BFS has already made legal.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .grid import Heading, Maze, MazeError, cell_rc, passable
 from .instructions import ExitAt, Forward, Instruction, StepIn, Turn, render_sequence
 from .simulator import initial_heading
 
 _CLOCKWISE = (Heading.N, Heading.E, Heading.S, Heading.W)
-# Turns from heading index h to heading index d: _TURNS[(d - h) % 4].
-_TURNS = (0, 1, 2, 1)
+# The turns from heading index h to heading index d: _TURN_RUNS[(d - h) % 4].
+_TURN_RUNS = ((), (Turn("right"),), (Turn("right"), Turn("right")), (Turn("left"),))
+_TURNS = tuple(map(len, _TURN_RUNS))
 
 
 class UnsolvableMazeError(ValueError):
@@ -39,32 +55,40 @@ class Solution:
     turn_count: int
 
 
-def _adjacency(maze: Maze) -> list[list[int]]:
-    """Passable neighbours of every cell, ascending, in one pass over the grid."""
-    size, cols, walls = maze.size, maze.cols, maze.walls
-    adj: list[list[int]] = [[] for _ in range(size)]
-    for cell in range(size):
-        # Linking each cell to its right and lower neighbours in ascending
-        # cell order leaves every list ascending: above, left, right, below.
-        if (cell + 1) % cols and (cell, cell + 1) not in walls:
-            adj[cell].append(cell + 1)
-            adj[cell + 1].append(cell)
-        if cell + cols < size and (cell, cell + cols) not in walls:
-            adj[cell].append(cell + cols)
-            adj[cell + cols].append(cell)
+@lru_cache(maxsize=8)
+def _open_adjacency(rows: int, cols: int) -> tuple[tuple[int, ...], ...]:
+    """Neighbours of every cell of a wall-free rows x cols grid, ascending:
+    above, left, right, below."""
+    size = rows * cols
+    return tuple(
+        tuple(n for n, ok in ((cell - cols, cell >= cols), (cell - 1, cell % cols),
+                              (cell + 1, (cell + 1) % cols), (cell + cols, cell + cols < size)) if ok)
+        for cell in range(size)
+    )
+
+
+def _adjacency(maze: Maze) -> list:
+    """Passable neighbours of every cell, ascending: the wall-free grid's,
+    shared between mazes of one shape, with fresh lists only for the cells
+    beside a wall. Read-only."""
+    adj = list(_open_adjacency(maze.rows, maze.cols))
+    for a, b in maze.walls:
+        adj[a] = [n for n in adj[a] if n != b]
+        adj[b] = [n for n in adj[b] if n != a]
     return adj
 
 
-def _bfs(adj: list[list[int]], start: int) -> dict[int, int]:
+def _bfs(adj: list, start: int) -> dict[int, int]:
     dist = {start: 0}
-    queue = deque([start])
-    while queue:
-        cell = queue.popleft()
-        step = dist[cell] + 1
-        for nxt in adj[cell]:
-            if nxt not in dist:
-                dist[nxt] = step
-                queue.append(nxt)
+    layer, step = [start], 1
+    while layer:
+        after = []
+        for cell in layer:
+            for nxt in adj[cell]:
+                if nxt not in dist:
+                    dist[nxt] = step
+                    after.append(nxt)
+        layer, step = after, step + 1
     return dist
 
 
@@ -74,42 +98,49 @@ def bfs_distances(maze: Maze, start: int) -> dict[int, int]:
     return _bfs(_adjacency(maze), start)
 
 
-def _shortest_dag(maze: Maze) -> tuple[list[list[int]], dict[int, int]]:
-    """The moves of the shortest entrance -> exit paths, as ascending
-    successor lists, and the entrance distances in BFS order."""
+def _successors(maze: Maze) -> dict[int, list[int]]:
+    """One BFS from the exit, stopped at the entrance: each cell it reaches,
+    in BFS order, with its neighbours one move nearer the exit, ascending."""
     start, goal = maze.entrance.cell, maze.exit.cell
     adj = _adjacency(maze)
-    dist = _bfs(adj, start)
-    if goal not in dist:
-        raise UnsolvableMazeError(f"no path from {start} to {goal}")
-    to_goal = _bfs(adj, goal)
-    succ: list[list[int]] = [[] for _ in adj]
-    for cell, d in dist.items():
-        if d + to_goal[cell] == dist[goal]:
-            # A neighbour one move closer to the goal is one move further
-            # from the entrance too, or a shorter path would exist.
-            succ[cell] = [n for n in adj[cell] if to_goal[n] == to_goal[cell] - 1]
-    return succ, dist
+    dist = {goal: 0}
+    succ: dict[int, list[int]] = {}
+    layer, nearer = [goal], -1
+    while layer:
+        after = []
+        for cell in layer:
+            succ[cell] = nxt = []
+            for n in adj[cell]:
+                d = dist.get(n)
+                if d is None:
+                    dist[n] = nearer + 2
+                    after.append(n)
+                elif d == nearer:
+                    nxt.append(n)
+            if cell == start:
+                return succ
+        layer, nearer = after, nearer + 1
+    raise UnsolvableMazeError(f"no path from {start} to {goal}")
 
 
-def _paths(start: tuple, goal: int, moves) -> list[list[int]]:
-    """Cell paths of every walk from state ``start`` to a state at cell
-    ``goal``, where ``moves(state)`` lists the next states and a state's
-    first item is its cell. An explicit stack keeps long paths off the
-    call stack."""
+def _paths(start, moves) -> list[list]:
+    """Every walk from state ``start`` to a state without next states, where
+    ``moves(state)`` lists the next states, as lists of states. An explicit
+    stack keeps long paths off the call stack."""
     paths = []
     stack = [(start, None)]  # (state, node of the path before it)
     while stack:
         state, before = stack.pop()
-        node = (state[0], before)
-        if state[0] == goal:
+        node = (state, before)
+        nxt = moves(state)
+        if nxt:
+            stack.extend((s, node) for s in nxt)
+        else:
             path = []
             while node:
                 path.append(node[0])
                 node = node[1]
             paths.append(path[::-1])
-        else:
-            stack.extend((nxt, node) for nxt in moves(state))
     return paths
 
 
@@ -117,10 +148,66 @@ def shortest_cell_paths(maze: Maze) -> list[list[int]]:
     """Every minimal-length cell path entrance -> exit, lexicographic order.
 
     There are exponentially many on open grids (184,756 on an 11x11 one), so
-    the reference solution no longer uses this list.
+    the reference solution does not use this list.
     """
-    succ, _ = _shortest_dag(maze)
-    return sorted(_paths((maze.entrance.cell,), maze.exit.cell, lambda s: [(n,) for n in succ[s[0]]]))
+    return sorted(_paths(maze.entrance.cell, _successors(maze).__getitem__))
+
+
+def _cost_to_go(maze: Maze):
+    """The successor lists and, per cell, the fewest instructions still
+    needed after arriving with heading index h (4: at the entrance, before
+    the first move), ExitAt not counted.
+
+    Also returns added[h][d], the instructions that a move in heading d adds
+    after heading h, and step, the heading index of a move by its cell
+    offset.
+    """
+    succ = _successors(maze)
+    cols = maze.cols
+    first = _CLOCKWISE.index(initial_heading(maze))
+    exit_side = _CLOCKWISE.index(maze.exit.side)
+    # Vertical last: on a one-column grid an offset of 1 is a move south.
+    step = {1: 1, -1: 3, -cols: 0, cols: 2}
+    # Row 4 is the first move, which always starts a Forward.
+    added = [[0 if h == d else _TURNS[(d - h) % 4] + 1 for d in range(4)] for h in range(4)]
+    added.append([_TURNS[(d - first) % 4] + 1 for d in range(4)])
+    column = list(zip(*added))  # column[d][h] == added[h][d]
+    # Successors lie one BFS layer nearer the exit, so they are filled first.
+    togo: dict[int, list[int]] = {}
+    for cell, nxt in succ.items():
+        if not nxt:  # only the exit has no successor
+            togo[cell] = [_TURNS[(exit_side - h) % 4] for h in (0, 1, 2, 3, first)]
+            continue
+        best = None
+        for n in nxt:
+            d = step[n - cell]
+            t = togo[n][d]
+            via = [a + t for a in column[d]]
+            best = via if best is None else [a if a < b else b for a, b in zip(via, best)]
+        togo[cell] = best
+    return succ, togo, added, step
+
+
+def _solution(maze: Maze, cells: list[int], moves: list[int]) -> Solution:
+    """The solution of a shortest path from its cells and the heading index
+    of each move. Consecutive moves in one heading merge into one Forward to
+    the run's last cell; a final turn faces the exit side."""
+    h = _CLOCKWISE.index(initial_heading(maze))
+    instrs: list[Instruction] = [StepIn(cells[0])]
+    runs = 0
+    for i, d in enumerate(moves):
+        if i == 0 or d != h:
+            if i:
+                instrs.append(Forward(cells[i]))
+            instrs += _TURN_RUNS[(d - h) % 4]
+            h = d
+            runs += 1
+    if moves:
+        instrs.append(Forward(cells[-1]))
+    instrs += _TURN_RUNS[(_CLOCKWISE.index(maze.exit.side) - h) % 4]
+    instrs.append(ExitAt(cells[-1]))
+    # Every instruction but StepIn, ExitAt and one Forward per run is a turn.
+    return Solution(tuple(cells), tuple(instrs), len(instrs) - 2 - runs)
 
 
 def _move_heading(maze: Maze, a: int, b: int) -> Heading:
@@ -180,48 +267,35 @@ def emit_instructions(maze: Maze, cells: list[int] | tuple) -> list[Instruction]
 def optimal_solutions(maze: Maze) -> list[Solution]:
     """All minimal-instruction solutions over the shortest cell paths,
     sorted by (turn count, lexicographic cell path)."""
-    start, goal, cols = maze.entrance.cell, maze.exit.cell, maze.cols
-    succ, dist = _shortest_dag(maze)
-    first = _CLOCKWISE.index(initial_heading(maze))
-    exit_side = _CLOCKWISE.index(maze.exit.side)
-
-    def heading(a: int, b: int) -> int:
-        # Vertical first: on a one-column grid b - a == 1 is a move south.
-        return 0 if b == a - cols else 2 if b == a + cols else 1 if b == a + 1 else 3
-
-    # added[h][d]: instructions that a move in heading d adds after heading
-    # h. Row 4 is the first move, which always starts a Forward.
-    added = [[0 if h == d else _TURNS[(d - h) % 4] + 1 for d in range(4)] for h in range(4)]
-    added.append([_TURNS[(d - first) % 4] + 1 for d in range(4)])
-    # togo[cell][h]: the fewest instructions still needed after arriving at
-    # cell with heading h (4: at the entrance, before the first move),
-    # ExitAt not counted. Successors lie one BFS layer
-    # further out, so a pass in descending distance fills them first.
-    togo = {goal: [_TURNS[(exit_side - h) % 4] for h in (0, 1, 2, 3, first)]}
-    column = list(zip(*added))  # column[d][h] == added[h][d]
-    for cell in reversed(dist):
-        if succ[cell]:
-            via = []  # per successor, the cost from cell for each heading h
-            for n in succ[cell]:
-                d = heading(cell, n)
-                via.append([c + togo[n][d] for c in column[d]])
-            togo[cell] = [min(costs) for costs in zip(*via)]
+    succ, togo, added, step = _cost_to_go(maze)
 
     def moves(state: tuple) -> list[tuple]:
         cell, h = state
         return [(n, d) for n in succ[cell]
-                if added[h][d := heading(cell, n)] + togo[n][d] == togo[cell][h]]
+                if added[h][d := step[n - cell]] + togo[n][d] == togo[cell][h]]
 
-    solutions = []
-    for path in _paths((start, 4), goal, moves):
-        instrs = emit_instructions(maze, path)
-        turns = sum(1 for x in instrs if isinstance(x, Turn))
-        solutions.append(Solution(tuple(path), tuple(instrs), turns))
+    solutions = [_solution(maze, [s[0] for s in path], [s[1] for s in path[1:]])
+                 for path in _paths((maze.entrance.cell, 4), moves)]
     return sorted(solutions, key=lambda s: (s.turn_count, s.cells))
 
 
 def reference_solution(maze: Maze) -> Solution:
-    return optimal_solutions(maze)[0]
+    """The first of optimal_solutions, found by one walk from the entrance
+    that takes the lowest successor keeping the instruction count optimal,
+    so nothing is listed or sorted."""
+    succ, togo, added, step = _cost_to_go(maze)
+    cell, h = maze.entrance.cell, 4
+    cells, moves = [cell], []
+    while succ[cell]:
+        best = togo[cell][h]
+        for n in succ[cell]:
+            d = step[n - cell]
+            if added[h][d] + togo[n][d] == best:
+                break
+        cells.append(n)
+        moves.append(d)
+        cell, h = n, d
+    return _solution(maze, cells, moves)
 
 
 def solution_text(maze: Maze) -> str:

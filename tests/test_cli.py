@@ -32,6 +32,12 @@ class TestGen:
         b = (tmp_path / "b" / "test-000.maze").read_text()
         assert a == b
 
+    def test_oversized_grid_rejected(self, tmp_path, capsys):
+        assert run_cli("--workdir", tmp_path, "gen", "--out", "c",
+                       "--rows", 10000, "--cols", 10000) == 1
+        assert "cells" in capsys.readouterr().err
+        assert not (tmp_path / "c").exists()
+
 
 class TestSolveRenderSerialize:
     def test_solve_prints_golden(self, tmp_path, m0_file, golden_solution, capsys):

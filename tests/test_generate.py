@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -21,6 +22,13 @@ class TestGenConfig:
             GenConfig(wall_count=14)  # 2x5 has 13 internal adjacencies
         with pytest.raises(ValueError):
             GenConfig(wall_count=-1)
+
+    def test_cell_cap_checked_before_allocating(self):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="cells"):
+            GenConfig(rows=10000, cols=10000)
+        assert time.perf_counter() - start < 0.1
+        GenConfig(rows=500, cols=500)  # exactly MAX_CELLS
 
     def test_path_bounds(self):
         with pytest.raises(ValueError):

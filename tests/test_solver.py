@@ -1,7 +1,9 @@
 import random
+import time
 
 import pytest
 
+from mazenav.cli import main
 from mazenav.generate import GenConfig, generate
 from mazenav.grid import Heading, Maze, MazeError, Opening
 from mazenav.instructions import ExitAt, Forward, StepIn, Turn
@@ -15,6 +17,7 @@ from mazenav.solver import (
     shortest_cell_paths,
     solution_text,
 )
+from mazenav.textform import serialize
 
 from .reference_impl import bf_distance, bf_optimal_solutions, bf_shortest_paths
 
@@ -145,7 +148,10 @@ class TestOptimalSolutions:
         rng = random.Random(31)
         for _ in range(250):
             maze = generate(cfg, rng)
-            assert optimal_solutions(maze) == bf_optimal_solutions(maze)
+            oracle = bf_optimal_solutions(maze)
+            assert optimal_solutions(maze) == oracle
+            assert reference_solution(maze) == oracle[0]
+            assert len({s.turn_count for s in oracle}) == 1
 
     def test_open_30x30_grid(self):
         maze = Maze(30, 30, frozenset(), Opening(1, Heading.N), Opening(898, Heading.S))
@@ -166,6 +172,44 @@ class TestOptimalSolutions:
         assert execute(m0, sol.instructions).complete
         assert sol.cells[0] == m0.entrance.cell
         assert sol.cells[-1] == m0.exit.cell
+
+
+def ladder(k: int) -> Maze:
+    """A 3x(2k+1) maze with 2^k tied optima, entered on the west of the
+    middle row and left on its east. Column boundary b lies between columns
+    b and b + 1; the middle row is walled at every even b and the outer rows
+    at every odd b, so each rung goes round above or below a middle wall
+    with the same turns."""
+    cols = 2 * k + 1
+    walls = [(r * cols + b, r * cols + b + 1)
+             for b in range(cols - 1) for r in ((1,) if b % 2 == 0 else (0, 2))]
+    return Maze(3, cols, frozenset(walls), Opening(cols, Heading.W), Opening(2 * cols - 1, Heading.E))
+
+
+class TestLadder:
+    def test_k4_lists_all_sixteen_optima(self):
+        solutions = optimal_solutions(ladder(4))
+        assert len(solutions) == 16
+        assert solutions == bf_optimal_solutions(ladder(4))
+
+    def test_k16_reference_is_fast(self):
+        maze = ladder(16)
+        start = time.perf_counter()
+        sol = reference_solution(maze)
+        assert time.perf_counter() - start < 0.05
+        assert execute(maze, sol.instructions).complete
+
+    def test_k200_finishes_with_clean_exit(self):
+        maze = ladder(200)
+        sol = reference_solution(maze)
+        assert len(sol.cells) - 1 == 4 * 200  # four moves per rung
+        assert execute(maze, sol.instructions).complete
+
+    def test_cli_solve_prints_reference(self, tmp_path, capsys):
+        maze = ladder(16)
+        (tmp_path / "ladder.maze").write_text(serialize(maze).text, encoding="utf-8")
+        assert main(["--workdir", str(tmp_path), "solve", "--maze", "ladder.maze"]) == 0
+        assert capsys.readouterr().out == solution_text(maze) + "\n"
 
 
 def test_solution_text_matches_golden(m0, golden_solution):

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 from pathlib import Path
 
 from .corpus import CorpusError, build_corpus, load_corpus
@@ -18,6 +19,7 @@ from .generate import GenConfig, GenerationError, generate
 from .grid import MazeError
 from .instructions import parse_response, render_sequence
 from .runner import (
+    RECORDS_NAME,
     ExperimentSpec,
     SpecError,
     load_records,
@@ -105,12 +107,12 @@ def cmd_verify(args) -> int:
     maze = load_description(args.workdir / args.maze)
     answer = (args.workdir / args.answer).read_text(encoding="utf-8")
     parsed = parse_response(answer)
-    score = score_run(maze, parsed, args.mode, lenient_exit=args.lenient_exit)
+    usable, _ = parsed.scored_prefix()
+    trace = execute(maze, usable, lenient_exit=args.lenient_exit)
+    score = score_run(maze, parsed, args.mode, lenient_exit=args.lenient_exit, trace=trace)
     print(f"complete={str(score.complete).lower()} partial={score.partial:.3f}")
     if score.first_fault:
         print(f"first fault: step {score.first_fault[0]} ({score.first_fault[1]})")
-    usable, _ = parsed.scored_prefix()
-    trace = execute(maze, usable, lenient_exit=args.lenient_exit)
     for i, pose in enumerate(trace.poses):
         print(f"  step {i}: cell {pose.cell} facing {pose.heading.value}")
     if trace.fault:
@@ -129,11 +131,15 @@ def cmd_eval(args) -> int:
         spec.scoring_mode = args.mode
     if args.out:
         spec.output_dir = args.workdir / args.out
-    run(spec)
-    records = load_records(spec.output_dir / "records.jsonl")
-    write_reports(spec.output_dir, records)
-    print(report_text(records), end="")
-    print(f"records: {spec.output_dir / 'records.jsonl'}")
+    return _run_and_report(spec)
+
+
+def _run_and_report(spec: ExperimentSpec, clock=time.time) -> int:
+    """Run the missing trials, then write and print the report of the whole log."""
+    run(spec, clock=clock)
+    log = spec.output_dir / RECORDS_NAME
+    print(write_reports(spec.output_dir, load_records(log)), end="")
+    print(f"records: {log}")
     return 0
 
 
@@ -186,12 +192,7 @@ def cmd_mock_eval(args) -> int:
         concurrency=args.concurrency,
         experiment_id="mock-eval",
     )
-    run(spec, clock=lambda: 0.0)
-    records = load_records(out / "records.jsonl")
-    write_reports(out, records)
-    print(report_text(records), end="")
-    print(f"records: {out / 'records.jsonl'}")
-    return 0
+    return _run_and_report(spec, clock=lambda: 0.0)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -8,14 +8,17 @@ are written by the submitting thread in planning order, which keeps the log
 byte-stable regardless of scheduling. A trial that raises anything but a
 GatewayError, or an interrupt, cancels the trials still queued and
 propagates; the records written before it stay.
+
+The summaries, report.txt and summary.csv all render from one tally: a
+single walk over the records that groups their scores in the report's mode
+and counts execution-mode first faults per provider.
 """
 
 from __future__ import annotations
 
-import dataclasses
-import io
 import json
 import time
+from collections import Counter, defaultdict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -188,69 +191,49 @@ def _run_trial(
 ) -> RunRecord:
     messages = build_messages(maze, shots, scenario, cache=prompts)
     digest = prompt_hash(messages)
-    trial_key = f"{maze_id}|{scenario.name}"
     try:
-        completion = gateway.complete(provider, messages, trial_key=trial_key)
+        completion = gateway.complete(provider, messages, trial_key=f"{maze_id}|{scenario.name}")
+    except GatewayError as err:
+        # A failed call scores 0 in every mode and stays in n.
+        completion = gateway.Completion("", 0, 0, 0.0, 0)
+        instructions, rejected = [], []
+        fault = FaultKind.PROVIDER_ERROR.value
+        trace = {"poses": [], "failed_at": 0, "fault": {"kind": fault, "detail": str(err)}}
+        scores = {mode: RunScore(False, 0.0, (0, fault), mode).to_dict() for mode in MODES}
+    else:
         parsed = parse_response(completion.text)
         usable, _ = parsed.scored_prefix()
-        trace = execute(maze, usable, lenient_exit=spec.lenient_exit)
+        executed = execute(maze, usable, lenient_exit=spec.lenient_exit)
+        instructions = [instruction_to_dict(i) for i in parsed.instructions]
+        rejected = [[r.line_no, r.text, r.reason] for r in parsed.rejected_lines]
+        trace = executed.to_dict()
         scores = {
             mode: score_run(
                 maze, parsed, mode, reference=reference, lenient_exit=spec.lenient_exit,
-                trace=trace,
+                trace=executed,
             ).to_dict()
             for mode in MODES
         }
-        return RunRecord(
-            experiment=spec.experiment_id,
-            provider=provider.name,
-            model=provider.model,
-            scenario=scenario.name,
-            maze_id=maze_id,
-            repeat=repeat,
-            prompt_hash=digest,
-            response=completion.text,
-            instructions=[instruction_to_dict(i) for i in parsed.instructions],
-            rejected=[[r.line_no, r.text, r.reason] for r in parsed.rejected_lines],
-            trace=trace.to_dict(),
-            scores=scores,
-            scoring_mode=spec.scoring_mode,
-            tokens_in=completion.tokens_in,
-            tokens_out=completion.tokens_out,
-            latency_ms=completion.latency_ms,
-            attempts=completion.attempts,
-            ts=clock(),
-        )
-    except GatewayError as err:
-        failure = RunScore(
-            False, 0.0, (0, FaultKind.PROVIDER_ERROR.value), spec.scoring_mode
-        )
-        return RunRecord(
-            experiment=spec.experiment_id,
-            provider=provider.name,
-            model=provider.model,
-            scenario=scenario.name,
-            maze_id=maze_id,
-            repeat=repeat,
-            prompt_hash=digest,
-            response="",
-            instructions=[],
-            rejected=[],
-            trace={
-                "poses": [],
-                "failed_at": 0,
-                "fault": {"kind": FaultKind.PROVIDER_ERROR.value, "detail": str(err)},
-            },
-            scores={
-                mode: dataclasses.replace(failure, mode=mode).to_dict() for mode in MODES
-            },
-            scoring_mode=spec.scoring_mode,
-            tokens_in=0,
-            tokens_out=0,
-            latency_ms=0.0,
-            attempts=0,
-            ts=clock(),
-        )
+    return RunRecord(
+        experiment=spec.experiment_id,
+        provider=provider.name,
+        model=provider.model,
+        scenario=scenario.name,
+        maze_id=maze_id,
+        repeat=repeat,
+        prompt_hash=digest,
+        response=completion.text,
+        instructions=instructions,
+        rejected=rejected,
+        trace=trace,
+        scores=scores,
+        scoring_mode=spec.scoring_mode,
+        tokens_in=completion.tokens_in,
+        tokens_out=completion.tokens_out,
+        latency_ms=completion.latency_ms,
+        attempts=completion.attempts,
+        ts=clock(),
+    )
 
 
 def run(spec: ExperimentSpec, *, clock=time.time) -> list[MetricsSummary]:
@@ -312,14 +295,25 @@ def run(spec: ExperimentSpec, *, clock=time.time) -> list[MetricsSummary]:
             pool.shutdown(wait=False, cancel_futures=True)
             raise
 
-    if not records:
-        raise SpecError(f"no records in {log_path}")
     return summaries_from(records, spec.scoring_mode)
 
 
-def summaries_from(records: list[RunRecord], mode: str | None = None) -> list[MetricsSummary]:
-    """Per provider x scenario summaries; ``mode`` overrides the recorded
-    scoring mode (records hold scores for both)."""
+@dataclass(frozen=True)
+class _Tally:
+    """What every report section needs, gathered in one walk over the records."""
+
+    mode: str
+    records: int
+    summaries: list[MetricsSummary]
+    faults: dict[str, Counter]  # provider -> first-fault label -> runs (execution)
+    solved: dict[str, list[bool]]  # maze_id -> completion per run (``mode``)
+
+
+def _tally(records: list[RunRecord], mode: str | None) -> _Tally:
+    """Decode every record's score once, in ``mode`` (default: the single
+    recorded mode); the fault histogram reads the stored execution score."""
+    if not records:
+        raise SpecError("empty record log")
     if mode is None:
         modes = {r.scoring_mode for r in records}
         if len(modes) > 1:
@@ -327,15 +321,26 @@ def summaries_from(records: list[RunRecord], mode: str | None = None) -> list[Me
                 f"records mix scoring modes {sorted(modes)}; pass an explicit mode"
             )
         mode = modes.pop()
-    groups: dict[tuple[str, str], list[RunScore]] = {}
-    order: list[tuple[str, str]] = []
+    groups: dict[tuple[str, str], list[RunScore]] = defaultdict(list)
+    faults: dict[str, Counter] = defaultdict(Counter)
+    solved: dict[str, list[bool]] = defaultdict(list)
     for record in records:
-        key = (record.provider, record.scenario)
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
-        groups[key].append(record.score(mode))
-    return [summarize(model, scenario, groups[(model, scenario)]) for model, scenario in order]
+        score = record.score(mode)
+        groups[record.provider, record.scenario].append(score)
+        solved[record.maze_id].append(score.complete)
+        # Two fields of the stored execution score are all the histogram needs.
+        execution = record.scores[MODE_EXECUTION]
+        fault = execution["first_fault"]
+        label = fault[1] if fault else ("none" if execution["complete"] else "StoppedEarly")
+        faults[record.provider][label] += 1
+    summaries = [summarize(model, scenario, group) for (model, scenario), group in groups.items()]
+    return _Tally(mode, len(records), summaries, faults, solved)
+
+
+def summaries_from(records: list[RunRecord], mode: str | None = None) -> list[MetricsSummary]:
+    """Per provider x scenario summaries; ``mode`` overrides the recorded
+    scoring mode (records hold scores for both)."""
+    return _tally(records, mode).summaries
 
 
 def _table(summaries: list[MetricsSummary], metric: str, title: str) -> list[str]:
@@ -358,45 +363,24 @@ def _table(summaries: list[MetricsSummary], metric: str, title: str) -> list[str
     return out
 
 
-def report_text(records: list[RunRecord], mode: str | None = None) -> str:
-    """Aligned-text report: both accuracy tables, fault histograms, and a
-    per-maze difficulty table."""
-    if not records:
-        raise SpecError("empty record log")
-    summaries = summaries_from(records, mode)
-    used_mode = mode or records[0].scoring_mode
-
-    lines: list[str] = []
-    lines.append(f"Scoring mode: {used_mode}")
-    lines.append(f"Records: {len(records)}")
-    lines.append("")
+def _report(tally: _Tally) -> str:
+    lines = [f"Scoring mode: {tally.mode}", f"Records: {tally.records}", ""]
     for metric, title in (
         ("complete_pct", "Complete Path Accuracy [%] (sorted by few-shot performance)"),
         ("partial_pct", "Partial Path Accuracy [%] (sorted by few-shot performance)"),
     ):
-        lines.extend(_table(summaries, metric, title))
+        lines.extend(_table(tally.summaries, metric, title))
         lines.append("")
 
     lines.append("Fault histogram per model (execution scoring, first fault per run)")
-    by_model: dict[str, dict[str, int]] = {}
-    for record in records:
-        hist = by_model.setdefault(record.provider, {})
-        score = record.score(MODE_EXECUTION)
-        label = score.first_fault[1] if score.first_fault else (
-            "none" if score.complete else "StoppedEarly"
-        )
-        hist[label] = hist.get(label, 0) + 1
-    for model in sorted(by_model):
-        parts = ", ".join(f"{k}={v}" for k, v in sorted(by_model[model].items()))
+    for model in sorted(tally.faults):
+        parts = ", ".join(f"{k}={v}" for k, v in sorted(tally.faults[model].items()))
         lines.append(f"  {model}: {parts}")
     lines.append("")
 
-    lines.append(f"Per-maze difficulty (fraction of runs complete, {used_mode} scoring)")
-    solved: dict[str, list[bool]] = {}
-    for record in records:
-        solved.setdefault(record.maze_id, []).append(record.score(used_mode).complete)
-    for maze_id in sorted(solved):
-        outcomes = solved[maze_id]
+    lines.append(f"Per-maze difficulty (fraction of runs complete, {tally.mode} scoring)")
+    for maze_id in sorted(tally.solved):
+        outcomes = tally.solved[maze_id]
         lines.append(f"  {maze_id}: {sum(outcomes) / len(outcomes):.3f} (n={len(outcomes)})")
     lines.append("")
 
@@ -410,17 +394,29 @@ def report_text(records: list[RunRecord], mode: str | None = None) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _csv(summaries: list[MetricsSummary]) -> str:
+    rows = ["model,scenario,n,complete_pct,partial_pct\n"]
+    for s in summaries:
+        rows.append(f"{s.model},{s.scenario},{s.n},{s.complete_pct:.1f},{s.partial_pct:.1f}\n")
+    return "".join(rows)
+
+
+def report_text(records: list[RunRecord], mode: str | None = None) -> str:
+    """Aligned-text report: both accuracy tables, fault histograms, and a
+    per-maze difficulty table."""
+    return _report(_tally(records, mode))
+
+
 def summary_csv(records: list[RunRecord], mode: str | None = None) -> str:
     """Long-form CSV export of the per-group accuracy summaries."""
-    summaries = summaries_from(records, mode)
-    buf = io.StringIO()
-    buf.write("model,scenario,n,complete_pct,partial_pct\n")
-    for s in summaries:
-        buf.write(f"{s.model},{s.scenario},{s.n},{s.complete_pct:.1f},{s.partial_pct:.1f}\n")
-    return buf.getvalue()
+    return _csv(summaries_from(records, mode))
 
 
-def write_reports(output_dir, records: list[RunRecord], mode: str | None = None) -> None:
+def write_reports(output_dir, records: list[RunRecord], mode: str | None = None) -> str:
+    """Write report.txt and summary.csv from one tally; return the report."""
+    tally = _tally(records, mode)
+    text = _report(tally)
     output_dir = Path(output_dir)
-    (output_dir / "report.txt").write_text(report_text(records, mode), encoding="utf-8")
-    (output_dir / "summary.csv").write_text(summary_csv(records, mode), encoding="utf-8")
+    (output_dir / "report.txt").write_text(text, encoding="utf-8")
+    (output_dir / "summary.csv").write_text(_csv(tally.summaries), encoding="utf-8")
+    return text

@@ -149,6 +149,20 @@ class TestMockEval:
         records = (tmp_path / "run" / "records.jsonl").read_text().splitlines()
         assert len(records) == 4 * 3 * 2
 
+    def test_report_rendered_once(self, tmp_path, capsys, monkeypatch):
+        from mazenav import runner
+
+        rendered = []
+        real = runner._report
+        monkeypatch.setattr(runner, "_report", lambda tally: rendered.append(1) or real(tally))
+        assert run_cli("--workdir", tmp_path, "mock-eval", "--out", "run",
+                       "--n-test", 2, "--n-shot", 6, "--seed", 11) == 0
+        assert len(rendered) == 1
+        out = capsys.readouterr().out
+        assert out == (tmp_path / "run" / "report.txt").read_text() + (
+            f"records: {tmp_path / 'run' / 'records.jsonl'}\n"
+        )
+
     def test_idempotent(self, tmp_path):
         run_cli("--workdir", tmp_path, "mock-eval", "--out", "run",
                 "--n-test", 3, "--n-shot", 6, "--seed", 11)

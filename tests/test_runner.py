@@ -21,8 +21,9 @@ from mazenav.runner import (
     shots_for,
     summaries_from,
     summary_csv,
+    write_reports,
 )
-from mazenav.scoring import MODE_EXECUTION, MODE_ORACLE
+from mazenav.scoring import MODE_EXECUTION, MODE_ORACLE, RunScore
 from mazenav.simulator import FaultKind
 from mazenav.solver import solution_text
 
@@ -105,9 +106,11 @@ class TestRun:
         assert len(records) == 4  # failures still counted
         failed = [r for r in records if r.maze_id != first_id]
         for record in failed:
-            score = record.score(MODE_ORACLE)
-            assert not score.complete and score.partial == 0.0
-            assert score.first_fault[1] == FaultKind.PROVIDER_ERROR.value
+            assert (record.response, record.instructions, record.attempts) == ("", [], 0)
+            for mode in (MODE_ORACLE, MODE_EXECUTION):
+                assert record.score(mode) == RunScore(
+                    False, 0.0, (0, FaultKind.PROVIDER_ERROR.value), mode
+                )
         (summary,) = summaries
         assert summary.n == 4
         assert summary.complete_pct == pytest.approx(25.0)
@@ -343,8 +346,30 @@ class TestReport:
         assert summaries_from(mutated, MODE_ORACLE)
 
     def test_empty_report_rejected(self):
-        with pytest.raises(SpecError):
-            report_text([])
+        for render in (report_text, summary_csv, summaries_from):
+            with pytest.raises(SpecError, match="empty record log"):
+                render([])
+
+    @pytest.mark.parametrize("mode", [None, MODE_EXECUTION])
+    def test_one_walk_per_report(self, tmp_path, small_corpus, monkeypatch, mode):
+        # Each report decodes every record's score once, in the report's mode.
+        records = self.run_mixed(tmp_path, small_corpus)
+        decoded = []
+        real = RunScore.from_dict.__func__
+        monkeypatch.setattr(
+            RunScore, "from_dict",
+            classmethod(lambda cls, data: decoded.append(data) or real(cls, data)),
+        )
+        for render in (report_text, summary_csv):
+            decoded.clear()
+            render(records, mode)
+            assert len(decoded) == len(records)
+        decoded.clear()
+        text = write_reports(tmp_path, records, mode)
+        assert len(decoded) == len(records)
+        assert text == (tmp_path / "report.txt").read_text(encoding="utf-8")
+        assert text == report_text(records, mode)
+        assert (tmp_path / "summary.csv").read_text(encoding="utf-8") == summary_csv(records, mode)
 
     def test_csv_layout(self, tmp_path, small_corpus):
         records = self.run_mixed(tmp_path, small_corpus)

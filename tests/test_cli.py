@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -31,6 +32,18 @@ class TestGen:
         a = (tmp_path / "a" / "test-000.maze").read_text()
         b = (tmp_path / "b" / "test-000.maze").read_text()
         assert a == b
+
+    @pytest.mark.parametrize("options, digest", [
+        ((), "04db7840a16cbca12a2499533e817a3dc54044ab567918f7c2fe3ccd5373ad55"),
+        (("--rows", 6, "--cols", 10, "--wall-count", 4, "--min-path", 10, "--max-path", 14,
+          "--seed", 1, "--n-test", 10, "--n-shot", 0),
+         "ec05a594b5c835a2e1f4caee0c12f9da58f29fafe8c506acf8bb3b8cd9a51afa"),
+    ])
+    def test_corpus_bytes_pinned(self, tmp_path, options, digest):
+        # The manifest holds every maze file's sha256, so it pins the corpus.
+        assert run_cli("--workdir", tmp_path, "gen", "--out", "c", *options) == 0
+        manifest = (tmp_path / "c" / "manifest.json").read_bytes()
+        assert hashlib.sha256(manifest).hexdigest() == digest
 
     def test_oversized_grid_rejected(self, tmp_path, capsys):
         assert run_cli("--workdir", tmp_path, "gen", "--out", "c",

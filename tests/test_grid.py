@@ -125,6 +125,14 @@ def test_internal_adjacency_count_2x5():
     assert len(internal_adjacencies(2, 5)) == 13
 
 
+def test_internal_adjacency_order_2x5():
+    # Row-major, right then down: the generator samples walls from this order.
+    assert list(internal_adjacencies(2, 5)) == [
+        (0, 1), (0, 5), (1, 2), (1, 6), (2, 3), (2, 7), (3, 4), (3, 8), (4, 9),
+        (5, 6), (6, 7), (7, 8), (8, 9),
+    ]
+
+
 def test_boundary_openings_2x5():
     openings = boundary_openings(2, 5)
     assert len(openings) == 14

@@ -77,7 +77,7 @@ def _opening_on(cfg: GenConfig, side: Heading, rng: random.Random) -> Opening:
     return Opening(row * cfg.cols + col, side)
 
 
-def _candidate(cfg: GenConfig, rng: random.Random, adjacencies: list) -> Maze | None:
+def _candidate(cfg: GenConfig, rng: random.Random, adjacencies: tuple) -> Maze | None:
     walls = rng.sample(adjacencies, cfg.wall_count)
     entrance, exit_ = _sample_openings(cfg, rng)
     try:

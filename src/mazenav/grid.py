@@ -4,12 +4,18 @@ Cells are numbered row-major with row 0 on top, so heading N always points
 toward lower row indices. Internal walls sit between orthogonally adjacent
 cells and are stored as unordered pairs. Entrance and exit are openings in
 the outer boundary: a cell plus the compass side that faces off-grid.
+
+This module is the one place that knows the geometry: the clockwise heading
+order (CLOCKWISE), the neighbours of every cell of a shape (open_adjacency,
+cached per shape, and adjacency, its walled view for one maze) and the wall
+slots the generator samples from (internal_adjacencies).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 
 class MazeError(ValueError):
@@ -30,17 +36,17 @@ class Heading(Enum):
         return _DELTAS[self]
 
     def left(self) -> "Heading":
-        return _ORDER[(_ORDER.index(self) - 1) % 4]
+        return CLOCKWISE[(CLOCKWISE.index(self) - 1) % 4]
 
     def right(self) -> "Heading":
-        return _ORDER[(_ORDER.index(self) + 1) % 4]
+        return CLOCKWISE[(CLOCKWISE.index(self) + 1) % 4]
 
     def opposite(self) -> "Heading":
-        return _ORDER[(_ORDER.index(self) + 2) % 4]
+        return CLOCKWISE[(CLOCKWISE.index(self) + 2) % 4]
 
 
 # Clockwise as seen from above; "left" turns are counterclockwise.
-_ORDER = (Heading.N, Heading.E, Heading.S, Heading.W)
+CLOCKWISE = (Heading.N, Heading.E, Heading.S, Heading.W)
 _DELTAS = {
     Heading.N: (-1, 0),
     Heading.E: (0, 1),
@@ -150,23 +156,37 @@ def adjacent(maze: Maze, a: int, b: int) -> bool:
 
 def passable(maze: Maze, a: int, b: int) -> bool:
     """True iff a and b are orthogonal neighbors with no wall between them."""
-    if not adjacent(maze, a, b):
-        return False
-    return (min(a, b), max(a, b)) not in maze.walls
+    return adjacent(maze, a, b) and (min(a, b), max(a, b)) not in maze.walls
 
 
 def neighbors(maze: Maze, cell: int) -> list[int]:
     """In-bounds orthogonal neighbors reachable from ``cell``, ascending."""
-    r, c = cell_rc(maze, cell)
-    out = []
-    for h in _ORDER:
-        dr, dc = h.delta
-        nr, nc = r + dr, c + dc
-        if 0 <= nr < maze.rows and 0 <= nc < maze.cols:
-            other = nr * maze.cols + nc
-            if passable(maze, cell, other):
-                out.append(other)
-    return sorted(out)
+    _check_bounds(maze, cell)
+    return [n for n in open_adjacency(maze.rows, maze.cols)[cell]
+            if (min(cell, n), max(cell, n)) not in maze.walls]
+
+
+@lru_cache(maxsize=8)
+def open_adjacency(rows: int, cols: int) -> tuple[tuple[int, ...], ...]:
+    """Neighbours of every cell of a wall-free rows x cols grid, ascending:
+    above, left, right, below."""
+    size = rows * cols
+    return tuple(
+        tuple(n for n, ok in ((cell - cols, cell >= cols), (cell - 1, cell % cols),
+                              (cell + 1, (cell + 1) % cols), (cell + cols, cell + cols < size)) if ok)
+        for cell in range(size)
+    )
+
+
+def adjacency(maze: Maze) -> list:
+    """Passable neighbours of every cell, ascending: the wall-free grid's,
+    shared between mazes of one shape, with fresh lists only for the cells
+    beside a wall. Read-only."""
+    adj = list(open_adjacency(maze.rows, maze.cols))
+    for a, b in maze.walls:
+        adj[a] = [n for n in adj[a] if n != b]
+        adj[b] = [n for n in adj[b] if n != a]
+    return adj
 
 
 def step_cell(maze: Maze, cell: int, heading: Heading) -> int | None:
@@ -179,17 +199,12 @@ def step_cell(maze: Maze, cell: int, heading: Heading) -> int | None:
     return None
 
 
-def internal_adjacencies(rows: int, cols: int) -> list[tuple[int, int]]:
-    """All unordered adjacent cell pairs where an internal wall could sit."""
-    pairs = []
-    for r in range(rows):
-        for c in range(cols):
-            cell = r * cols + c
-            if c + 1 < cols:
-                pairs.append((cell, cell + 1))
-            if r + 1 < rows:
-                pairs.append((cell, cell + cols))
-    return pairs
+@lru_cache(maxsize=8)
+def internal_adjacencies(rows: int, cols: int) -> tuple[tuple[int, int], ...]:
+    """All unordered adjacent cell pairs where an internal wall could sit,
+    row-major with each cell's right pair before its lower one."""
+    return tuple((cell, n) for cell, nearby in enumerate(open_adjacency(rows, cols))
+                 for n in nearby if n > cell)
 
 
 def boundary_openings(rows: int, cols: int) -> list[Opening]:

@@ -20,23 +20,21 @@ equal instructions, so turns that differ by k mean changes that differ by
 the initial heading to the exit side fixes the parity of the turns, so a
 nonzero k is at least 2 and 2k exceeds the range 0 to 3 of those turns.
 
-reference_solution is thus one walk from the entrance that takes the
-lowest successor keeping the instruction count optimal; it lists and sorts
-nothing. optimal_solutions follows every such move and sorts what it
-finds. Both emit instructions from the headings of the moves, which the
-BFS has already made legal.
+Both walkers share one move rule, _optimal_moves: from a (cell, heading)
+state, the successors whose move keeps the instruction count optimal.
+optimal_solutions follows every such move and sorts what it finds;
+reference_solution takes the first one from each state, so it lists and
+sorts nothing. Both emit instructions from the headings of the moves.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
-from .grid import Heading, Maze, MazeError, cell_rc, passable
+from .grid import CLOCKWISE, Heading, Maze, MazeError, adjacency, cell_rc, passable
 from .instructions import ExitAt, Forward, Instruction, StepIn, Turn, render_sequence
 from .simulator import initial_heading
 
-_CLOCKWISE = (Heading.N, Heading.E, Heading.S, Heading.W)
 # The turns from heading index h to heading index d: _TURN_RUNS[(d - h) % 4].
 _TURN_RUNS = ((), (Turn("right"),), (Turn("right"), Turn("right")), (Turn("left"),))
 _TURNS = tuple(map(len, _TURN_RUNS))
@@ -55,31 +53,10 @@ class Solution:
     turn_count: int
 
 
-@lru_cache(maxsize=8)
-def _open_adjacency(rows: int, cols: int) -> tuple[tuple[int, ...], ...]:
-    """Neighbours of every cell of a wall-free rows x cols grid, ascending:
-    above, left, right, below."""
-    size = rows * cols
-    return tuple(
-        tuple(n for n, ok in ((cell - cols, cell >= cols), (cell - 1, cell % cols),
-                              (cell + 1, (cell + 1) % cols), (cell + cols, cell + cols < size)) if ok)
-        for cell in range(size)
-    )
-
-
-def _adjacency(maze: Maze) -> list:
-    """Passable neighbours of every cell, ascending: the wall-free grid's,
-    shared between mazes of one shape, with fresh lists only for the cells
-    beside a wall. Read-only."""
-    adj = list(_open_adjacency(maze.rows, maze.cols))
-    for a, b in maze.walls:
-        adj[a] = [n for n in adj[a] if n != b]
-        adj[b] = [n for n in adj[b] if n != a]
-    return adj
-
-
-def _bfs(adj: list, start: int) -> dict[int, int]:
-    dist = {start: 0}
+def bfs_distances(maze: Maze, start: int) -> dict[int, int]:
+    """Moves from ``start`` to every reachable cell, in BFS order."""
+    cell_rc(maze, start)  # bounds check
+    adj, dist = adjacency(maze), {start: 0}
     layer, step = [start], 1
     while layer:
         after = []
@@ -92,17 +69,11 @@ def _bfs(adj: list, start: int) -> dict[int, int]:
     return dist
 
 
-def bfs_distances(maze: Maze, start: int) -> dict[int, int]:
-    """Moves from ``start`` to every reachable cell, in BFS order."""
-    cell_rc(maze, start)  # bounds check
-    return _bfs(_adjacency(maze), start)
-
-
 def _successors(maze: Maze) -> dict[int, list[int]]:
     """One BFS from the exit, stopped at the entrance: each cell it reaches,
     in BFS order, with its neighbours one move nearer the exit, ascending."""
     start, goal = maze.entrance.cell, maze.exit.cell
-    adj = _adjacency(maze)
+    adj = adjacency(maze)
     dist = {goal: 0}
     succ: dict[int, list[int]] = {}
     layer, nearer = [goal], -1
@@ -132,8 +103,7 @@ def _paths(start, moves) -> list[list]:
     while stack:
         state, before = stack.pop()
         node = (state, before)
-        nxt = moves(state)
-        if nxt:
+        if nxt := moves(state):
             stack.extend((s, node) for s in nxt)
         else:
             path = []
@@ -153,21 +123,22 @@ def shortest_cell_paths(maze: Maze) -> list[list[int]]:
     return sorted(_paths(maze.entrance.cell, _successors(maze).__getitem__))
 
 
-def _cost_to_go(maze: Maze):
-    """The successor lists and, per cell, the fewest instructions still
-    needed after arriving with heading index h (4: at the entrance, before
-    the first move), ExitAt not counted.
+def _optimal_moves(maze: Maze):
+    """The move rule of both walkers: a function from a state (cell, heading
+    index of the last move; 4 at the entrance, before the first move) to its
+    next states on an optimal solution, in ascending cell order.
 
-    Also returns added[h][d], the instructions that a move in heading d adds
-    after heading h, and step, the heading index of a move by its cell
-    offset.
+    A move from (cell, h) in heading d is optimal when the instructions it
+    adds, added[h][d], plus the cost-to-go of (next cell, d) equal the
+    cost-to-go of (cell, h): the fewest instructions still needed, ExitAt
+    not counted.
     """
     succ = _successors(maze)
-    cols = maze.cols
-    first = _CLOCKWISE.index(initial_heading(maze))
-    exit_side = _CLOCKWISE.index(maze.exit.side)
-    # Vertical last: on a one-column grid an offset of 1 is a move south.
-    step = {1: 1, -1: 3, -cols: 0, cols: 2}
+    first = CLOCKWISE.index(initial_heading(maze))
+    exit_side = CLOCKWISE.index(maze.exit.side)
+    # The heading index of a move by its cell offset. Vertical last: on a
+    # one-column grid an offset of 1 is a move south.
+    step = {1: 1, -1: 3, -maze.cols: 0, maze.cols: 2}
     # Row 4 is the first move, which always starts a Forward.
     added = [[0 if h == d else _TURNS[(d - h) % 4] + 1 for d in range(4)] for h in range(4)]
     added.append([_TURNS[(d - first) % 4] + 1 for d in range(4)])
@@ -185,42 +156,46 @@ def _cost_to_go(maze: Maze):
             via = [a + t for a in column[d]]
             best = via if best is None else [a if a < b else b for a, b in zip(via, best)]
         togo[cell] = best
-    return succ, togo, added, step
+
+    def moves(state: tuple) -> list[tuple]:
+        cell, h = state
+        return [(n, d) for n in succ[cell]
+                if added[h][d := step[n - cell]] + togo[n][d] == togo[cell][h]]
+
+    return moves
 
 
-def _solution(maze: Maze, cells: list[int], moves: list[int]) -> Solution:
-    """The solution of a shortest path from its cells and the heading index
-    of each move. Consecutive moves in one heading merge into one Forward to
-    the run's last cell; a final turn faces the exit side."""
-    h = _CLOCKWISE.index(initial_heading(maze))
+def _solution(maze: Maze, path: list[tuple]) -> Solution:
+    """The solution of an optimal path of (cell, heading index) states.
+    Consecutive moves in one heading merge into one Forward to the run's
+    last cell; a final turn faces the exit side."""
+    cells = tuple(cell for cell, _ in path)
+    facing = CLOCKWISE.index(initial_heading(maze))
     instrs: list[Instruction] = [StepIn(cells[0])]
-    runs = 0
-    for i, d in enumerate(moves):
-        if i == 0 or d != h:
+    for i, (_, d) in enumerate(path[1:]):
+        if d != path[i][1]:  # a new run; the first move always starts one
             if i:
                 instrs.append(Forward(cells[i]))
-            instrs += _TURN_RUNS[(d - h) % 4]
-            h = d
-            runs += 1
-    if moves:
+            instrs += _TURN_RUNS[(d - facing) % 4]
+            facing = d
+    if len(cells) > 1:
         instrs.append(Forward(cells[-1]))
-    instrs += _TURN_RUNS[(_CLOCKWISE.index(maze.exit.side) - h) % 4]
+    instrs += _TURN_RUNS[(CLOCKWISE.index(maze.exit.side) - facing) % 4]
     instrs.append(ExitAt(cells[-1]))
-    # Every instruction but StepIn, ExitAt and one Forward per run is a turn.
-    return Solution(tuple(cells), tuple(instrs), len(instrs) - 2 - runs)
+    return Solution(cells, tuple(instrs), sum(type(i) is Turn for i in instrs))
 
 
 def _move_heading(maze: Maze, a: int, b: int) -> Heading:
     ra, ca = cell_rc(maze, a)
     rb, cb = cell_rc(maze, b)
-    for h in _CLOCKWISE:
+    for h in CLOCKWISE:
         if (rb - ra, cb - ca) == h.delta:
             return h
     raise MazeError(f"cells {a} and {b} are not adjacent")
 
 
 def _turns_to(current: Heading, target: Heading) -> list[Instruction]:
-    delta = (_CLOCKWISE.index(target) - _CLOCKWISE.index(current)) % 4
+    delta = (CLOCKWISE.index(target) - CLOCKWISE.index(current)) % 4
     if delta == 0:
         return []
     if delta == 1:
@@ -267,35 +242,20 @@ def emit_instructions(maze: Maze, cells: list[int] | tuple) -> list[Instruction]
 def optimal_solutions(maze: Maze) -> list[Solution]:
     """All minimal-instruction solutions over the shortest cell paths,
     sorted by (turn count, lexicographic cell path)."""
-    succ, togo, added, step = _cost_to_go(maze)
-
-    def moves(state: tuple) -> list[tuple]:
-        cell, h = state
-        return [(n, d) for n in succ[cell]
-                if added[h][d := step[n - cell]] + togo[n][d] == togo[cell][h]]
-
-    solutions = [_solution(maze, [s[0] for s in path], [s[1] for s in path[1:]])
-                 for path in _paths((maze.entrance.cell, 4), moves)]
+    moves = _optimal_moves(maze)
+    solutions = [_solution(maze, path) for path in _paths((maze.entrance.cell, 4), moves)]
     return sorted(solutions, key=lambda s: (s.turn_count, s.cells))
 
 
 def reference_solution(maze: Maze) -> Solution:
     """The first of optimal_solutions, found by one walk from the entrance
-    that takes the lowest successor keeping the instruction count optimal,
-    so nothing is listed or sorted."""
-    succ, togo, added, step = _cost_to_go(maze)
-    cell, h = maze.entrance.cell, 4
-    cells, moves = [cell], []
-    while succ[cell]:
-        best = togo[cell][h]
-        for n in succ[cell]:
-            d = step[n - cell]
-            if added[h][d] + togo[n][d] == best:
-                break
-        cells.append(n)
-        moves.append(d)
-        cell, h = n, d
-    return _solution(maze, cells, moves)
+    that takes the first optimal move of each state, so nothing is listed
+    or sorted."""
+    moves = _optimal_moves(maze)
+    path = [(maze.entrance.cell, 4)]
+    while nxt := moves(path[-1]):
+        path.append(nxt[0])
+    return _solution(maze, path)
 
 
 def solution_text(maze: Maze) -> str:

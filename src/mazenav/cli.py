@@ -138,7 +138,7 @@ def _run_and_report(spec: ExperimentSpec, clock=time.time) -> int:
     """Run the missing trials, then write and print the report of the whole log."""
     run(spec, clock=clock)
     log = spec.output_dir / RECORDS_NAME
-    print(write_reports(spec.output_dir, load_records(log)), end="")
+    print(write_reports(spec.output_dir, load_records(log), spec.scoring_mode), end="")
     print(f"records: {log}")
     return 0
 

@@ -176,6 +176,23 @@ class TestMockEval:
             f"records: {tmp_path / 'run' / 'records.jsonl'}\n"
         )
 
+    def test_mode_flag_sets_report_mode(self, tmp_path, capsys):
+        args = ("--workdir", tmp_path, "mock-eval", "--out", "run", "--n-test", 4, "--seed", 7)
+        log = tmp_path / "run" / "records.jsonl"
+        assert run_cli(*args) == 0
+        oracle_log = log.read_text(encoding="utf-8")
+        capsys.readouterr()
+        # A finished oracle-mode log, reported in execution mode.
+        assert run_cli(*args, "--mode", "execution") == 0
+        assert "Scoring mode: execution" in capsys.readouterr().out
+        assert "Scoring mode: execution" in (tmp_path / "run" / "report.txt").read_text()
+        # A resumed log whose records were written in both modes.
+        log.write_text("".join(oracle_log.splitlines(keepends=True)[:10]), encoding="utf-8")
+        assert run_cli(*args, "--mode", "execution") == 0
+        assert "Scoring mode: execution" in capsys.readouterr().out
+        assert "Scoring mode: execution" in (tmp_path / "run" / "report.txt").read_text()
+        assert len(log.read_text(encoding="utf-8").splitlines()) == 4 * 3 * 2
+
     def test_idempotent(self, tmp_path):
         run_cli("--workdir", tmp_path, "mock-eval", "--out", "run",
                 "--n-test", 3, "--n-shot", 6, "--seed", 11)

@@ -17,6 +17,7 @@ and counts execution-mode first faults per provider.
 from __future__ import annotations
 
 import json
+import os
 import time
 from collections import Counter, defaultdict
 from concurrent.futures import ThreadPoolExecutor
@@ -162,12 +163,30 @@ def _load_records(path: Path) -> list[RunRecord]:
             records.append(RunRecord.from_json_line(line))
         except (ValueError, TypeError) as err:
             if i == len(lines) - 1:
-                # Torn tail from a crash mid-write: drop it, the trial reruns.
-                repaired = "\n".join(lines[:i])
-                path.write_text(repaired + ("\n" if repaired else ""), encoding="utf-8")
+                # Torn tail from a crash mid-write: skip it, the trial reruns.
+                # Only run() edits the file, in _end_on_newline.
                 break
             raise SpecError(f"corrupt record log {path} at line {i + 1}: {err}")
     return records
+
+
+def _end_on_newline(path: Path) -> None:
+    """Before run() appends: a last line without its newline gets one when it
+    holds a whole record, and is cut when a crash tore it (loading skipped it)."""
+    with open(path, "a+b") as log:
+        end = log.seek(0, os.SEEK_END)
+        log.seek(max(end - 1, 0))
+        if log.read(1) in (b"", b"\n"):
+            return
+        log.seek(0)
+        raw = log.read()
+        start = raw.rfind(b"\n") + 1
+        try:
+            RunRecord.from_json_line(raw[start:].decode("utf-8"))
+        except (ValueError, TypeError):
+            log.truncate(start)
+        else:
+            log.write(b"\n")
 
 
 def load_records(path) -> list[RunRecord]:
@@ -264,6 +283,7 @@ def run(spec: ExperimentSpec, *, clock=time.time) -> list[MetricsSummary]:
     }
 
     prompts = PromptCache()
+    _end_on_newline(log_path)
     with open(log_path, "a", encoding="utf-8") as log, ThreadPoolExecutor(
         max_workers=spec.concurrency
     ) as pool:

@@ -193,6 +193,17 @@ class TestMockEval:
         assert "Scoring mode: execution" in (tmp_path / "run" / "report.txt").read_text()
         assert len(log.read_text(encoding="utf-8").splitlines()) == 4 * 3 * 2
 
+    def test_report_leaves_torn_log_unchanged(self, tmp_path, capsys):
+        assert run_cli("--workdir", tmp_path, "mock-eval", "--out", "run",
+                       "--n-test", 2, "--n-shot", 6, "--seed", 11) == 0
+        log = tmp_path / "run" / "records.jsonl"
+        with open(log, "a", encoding="utf-8") as f:
+            f.write('{"torn')
+        torn = log.read_bytes()
+        assert run_cli("--workdir", tmp_path, "report", "--log", "run/records.jsonl") == 0
+        assert log.read_bytes() == torn
+        assert "Records: 12" in capsys.readouterr().out
+
     def test_idempotent(self, tmp_path):
         run_cli("--workdir", tmp_path, "mock-eval", "--out", "run",
                 "--n-test", 3, "--n-shot", 6, "--seed", 11)

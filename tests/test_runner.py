@@ -291,6 +291,18 @@ class TestRecordLog:
         run(spec, clock=lambda: 0.0)
         assert log_path.read_text(encoding="utf-8") == full
 
+    def test_unterminated_whole_record_kept(self, tmp_path, small_corpus):
+        corpus_dir, corpus = small_corpus
+        endpoint = write_script(tmp_path, corpus, oracle_answers(corpus))
+        spec = make_spec(tmp_path, corpus_dir, endpoint)
+        run(spec, clock=lambda: 0.0)
+        log_path = spec.output_dir / RECORDS_NAME
+        full = log_path.read_text(encoding="utf-8")
+        log_path.write_text(full[:-1], encoding="utf-8")
+        assert len(load_records(log_path)) == len(full.splitlines())
+        run(spec, clock=lambda: 0.0)
+        assert log_path.read_text(encoding="utf-8") == full
+
     def test_mid_file_corruption_raises(self, tmp_path):
         log_path = tmp_path / RECORDS_NAME
         log_path.write_text("not json\n" + "also not json\n", encoding="utf-8")

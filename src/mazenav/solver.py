@@ -169,7 +169,7 @@ def _solution(maze: Maze, path: list[tuple]) -> Solution:
     """The solution of an optimal path of (cell, heading index) states.
     Consecutive moves in one heading merge into one Forward to the run's
     last cell; a final turn faces the exit side."""
-    cells = tuple(cell for cell, _ in path)
+    cells = tuple([cell for cell, _ in path])  # sized once, not grown: less heap fragmentation
     facing = CLOCKWISE.index(initial_heading(maze))
     instrs: list[Instruction] = [StepIn(cells[0])]
     for i, (_, d) in enumerate(path[1:]):

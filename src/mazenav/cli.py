@@ -25,7 +25,7 @@ from .runner import (
     load_records,
     load_spec,
     report_text,
-    run,
+    run_records,
     summary_csv,
     write_reports,
 )
@@ -136,10 +136,9 @@ def cmd_eval(args) -> int:
 
 def _run_and_report(spec: ExperimentSpec, clock=time.time) -> int:
     """Run the missing trials, then write and print the report of the whole log."""
-    run(spec, clock=clock)
-    log = spec.output_dir / RECORDS_NAME
-    print(write_reports(spec.output_dir, load_records(log), spec.scoring_mode), end="")
-    print(f"records: {log}")
+    records = run_records(spec, clock=clock)
+    print(write_reports(spec.output_dir, records, spec.scoring_mode), end="")
+    print(f"records: {spec.output_dir / RECORDS_NAME}")
     return 0
 
 
@@ -168,10 +167,10 @@ def _mock_script(corpus, flaw_every: int | None) -> dict:
 def cmd_mock_eval(args) -> int:
     out = args.workdir / args.out
     corpus_dir = args.workdir / args.corpus if args.corpus else out / "corpus"
-    if not (corpus_dir / "manifest.json").exists():
-        cfg = GenConfig(seed=args.seed)
-        build_corpus(corpus_dir, cfg, args.n_test, args.n_shot)
-    corpus = load_corpus(corpus_dir)
+    if (corpus_dir / "manifest.json").exists():
+        corpus = load_corpus(corpus_dir)
+    else:
+        corpus = build_corpus(corpus_dir, GenConfig(seed=args.seed), args.n_test, args.n_shot)
 
     out.mkdir(parents=True, exist_ok=True)
     providers = []

@@ -32,13 +32,14 @@ def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def save_corpus(directory, tests: list[Maze], shots: list[Maze], cfg: GenConfig) -> Path:
+def save_corpus(directory, tests: list[Maze], shots: list[Maze], cfg: GenConfig) -> Corpus:
+    """Write one file per maze and the manifest; return the corpus written."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    entries = []
+    entries, written = [], []
     for role, mazes in (("test", tests), ("shot", shots)):
-        for i, maze in enumerate(mazes):
-            maze_id = f"{role}-{i:03d}"
+        written.append(tuple((f"{role}-{i:03d}", maze) for i, maze in enumerate(mazes)))
+        for maze_id, maze in written[-1]:
             text = serialize(maze, maze_id).text
             filename = f"{maze_id}.maze"
             (directory / filename).write_text(text, encoding="utf-8")
@@ -52,13 +53,12 @@ def save_corpus(directory, tests: list[Maze], shots: list[Maze], cfg: GenConfig)
     }
     path = directory / MANIFEST_NAME
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    return path
+    return Corpus(*written, manifest["config"])
 
 
 def build_corpus(directory, cfg: GenConfig, n_test: int, n_shot: int) -> Corpus:
     tests, shots = generate_corpus(cfg, n_test, n_shot)
-    save_corpus(directory, tests, shots, cfg)
-    return load_corpus(directory)
+    return save_corpus(directory, tests, shots, cfg)
 
 
 def load_corpus(directory) -> Corpus:

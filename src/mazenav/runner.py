@@ -256,8 +256,13 @@ def _run_trial(
 
 
 def run(spec: ExperimentSpec, *, clock=time.time) -> list[MetricsSummary]:
-    """Execute all missing trials, append their records, return summaries
-    computed from the full record log."""
+    """Summaries of run_records(spec), the full record log, in the spec's mode."""
+    return summaries_from(run_records(spec, clock=clock), spec.scoring_mode)
+
+
+def run_records(spec: ExperimentSpec, *, clock=time.time) -> list[RunRecord]:
+    """Execute all missing trials, append their records, return every record
+    of the log: the ones loaded, then the ones written, in log order."""
     corpus = load_corpus(spec.corpus_dir)
     if not corpus.tests:
         raise SpecError("corpus has no test mazes")
@@ -314,8 +319,7 @@ def run(spec: ExperimentSpec, *, clock=time.time) -> list[MetricsSummary]:
             # the block still waits for the trials already running.
             pool.shutdown(wait=False, cancel_futures=True)
             raise
-
-    return summaries_from(records, spec.scoring_mode)
+    return records
 
 
 @dataclass(frozen=True)

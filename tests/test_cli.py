@@ -1,5 +1,6 @@
 import hashlib
 import json
+from collections import Counter
 
 import pytest
 
@@ -203,6 +204,37 @@ class TestMockEval:
         assert run_cli("--workdir", tmp_path, "report", "--log", "run/records.jsonl") == 0
         assert log.read_bytes() == torn
         assert "Records: 12" in capsys.readouterr().out
+
+    MOCK_ARGS = ("mock-eval", "--out", "run", "--n-test", 4, "--n-shot", 6, "--seed", 11)
+
+    @staticmethod
+    def count_reads(monkeypatch) -> Counter:
+        """Count maze-file parses, record-line decodes and score decodes."""
+        from mazenav import corpus, runner, scoring
+
+        calls = Counter()
+        for owner, name in ((corpus, "parse"), (runner.RunRecord, "from_json_line"),
+                            (scoring.RunScore, "from_dict")):
+            real = getattr(owner, name)
+
+            def counted(*args, real=real, name=name):
+                calls[name] += 1
+                return real(*args)
+            monkeypatch.setattr(owner, name, counted)
+        return calls
+
+    def test_cold_run_reads_nothing_back(self, tmp_path, capsys, monkeypatch):
+        # 10 maze files, 24 records: run() parses each file once, and the
+        # report decodes each score of the records run() returned once.
+        calls = self.count_reads(monkeypatch)
+        assert run_cli("--workdir", tmp_path, *self.MOCK_ARGS) == 0
+        assert calls == {"parse": 10, "from_dict": 24}
+
+    def test_rerun_decodes_each_record_once(self, tmp_path, capsys, monkeypatch):
+        assert run_cli("--workdir", tmp_path, *self.MOCK_ARGS) == 0
+        calls = self.count_reads(monkeypatch)
+        assert run_cli("--workdir", tmp_path, *self.MOCK_ARGS) == 0
+        assert calls["from_json_line"] == 24 and calls["from_dict"] == 24
 
     def test_idempotent(self, tmp_path):
         run_cli("--workdir", tmp_path, "mock-eval", "--out", "run",

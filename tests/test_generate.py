@@ -3,6 +3,7 @@ import time
 
 import pytest
 
+from mazenav import corpus
 from mazenav.corpus import CorpusError, build_corpus, load_corpus, save_corpus
 from mazenav.generate import GenConfig, GenerationError, generate, generate_corpus
 from mazenav.solver import bfs_distances, optimal_solutions
@@ -119,6 +120,25 @@ class TestCorpusIO:
         assert len(corpus.tests) == 2 and len(corpus.shots) == 1
         assert (tmp_path / "c" / "manifest.json").exists()
         assert (tmp_path / "c" / "test-000.maze").exists()
+
+    @pytest.mark.parametrize("cfg", [
+        GenConfig(),
+        GenConfig(opposite_sides=False),
+        GenConfig(rows=12, cols=3),
+        GenConfig(rows=6, cols=10, min_path=10, max_path=14),
+    ], ids=["default", "any-sides", "12x3", "6x10"])
+    def test_build_corpus_loads_back(self, tmp_path, cfg):
+        assert build_corpus(tmp_path / "c", cfg, 8, 6) == load_corpus(tmp_path / "c")
+
+    def test_build_corpus_reads_nothing_back(self, tmp_path, monkeypatch):
+        def fail(*args):
+            raise AssertionError("build_corpus read back what it wrote")
+
+        monkeypatch.setattr(corpus, "load_corpus", fail)
+        monkeypatch.setattr(corpus, "parse", fail)
+        built = build_corpus(tmp_path / "c", GenConfig(seed=4), 2, 1)
+        assert [maze_id for maze_id, _ in built.tests + built.shots] == [
+            "test-000", "test-001", "shot-000"]
 
     def test_checksum_tamper_detected(self, tmp_path):
         build_corpus(tmp_path / "c", GenConfig(seed=4), 1, 0)

@@ -8,6 +8,7 @@ resolved relative to --workdir.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
@@ -125,12 +126,13 @@ def cmd_verify(args) -> int:
 
 def cmd_eval(args) -> int:
     spec = load_spec(args.workdir / args.spec)
-    if args.concurrency:
-        spec.concurrency = args.concurrency
-    if args.mode:
-        spec.scoring_mode = args.mode
-    if args.out:
-        spec.output_dir = args.workdir / args.out
+    overrides = {
+        "concurrency": args.concurrency,
+        "scoring_mode": args.mode,
+        "output_dir": None if args.out is None else args.workdir / args.out,
+    }
+    # replace() builds a new spec, so __post_init__ checks the overrides too.
+    spec = dataclasses.replace(spec, **{k: v for k, v in overrides.items() if v is not None})
     return _run_and_report(spec)
 
 

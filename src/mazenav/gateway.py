@@ -133,6 +133,8 @@ class ProviderConfig:
             raise ValueError("max_retries must be >= 0")
         if self.timeout_s <= 0:
             raise ValueError("timeout_s must be positive")
+        if self.rate_per_s is not None and not self.rate_per_s > 0:  # rejects NaN as well
+            raise ValueError("rate_per_s must be positive (omit it for no cap)")
 
 
 @dataclass(frozen=True)
@@ -335,7 +337,7 @@ def complete(
     delay = 0.5
     while True:
         attempts += 1
-        if cfg.rate_per_s:
+        if cfg.rate_per_s is not None:
             wait = _bucket(cfg).reserve(time.monotonic())
             if wait > 0:
                 sleeper(wait)

@@ -70,6 +70,11 @@ class ExperimentSpec:
             raise SpecError("concurrency must be >= 1")
         if self.repeats < 1:
             raise SpecError("repeats must be >= 1")
+        # Tallies, report rows, rate caps, shots and prompt prefixes are keyed by name.
+        for kind, items in (("provider", self.providers), ("scenario", self.scenarios)):
+            names = [item.name for item in items]
+            if len(set(names)) < len(names):
+                raise SpecError(f"duplicate {kind} names in {names}")
 
 
 def load_spec(path) -> ExperimentSpec:

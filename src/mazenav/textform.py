@@ -22,7 +22,7 @@ import hashlib
 import re
 from dataclasses import dataclass
 
-from .grid import Heading, Maze, Opening, boundary_openings, cell_rc, internal_adjacencies
+from .grid import Heading, Maze, Opening, boundary_openings, cell_rc, open_adjacency
 
 HEADER = "Here is the text description of a maze:"
 TOPOLOGY_HEADER = "- From a bird's eye perspective, the room has the following zone topology:"
@@ -227,13 +227,13 @@ def parse(text: str) -> Maze:
                                f"at zone {markers[symbol].cell}", ""))
 
     walls: list[tuple[int, int]] = []
-    legal = set(internal_adjacencies(rows, cols))
+    nearby = open_adjacency(rows, cols)  # cached per shape; each pair is one lookup
     first_wall = texts.index(WALLS_HEADER) + 1 if WALLS_HEADER in texts else len(lines)
     for no, s in lines[first_wall:]:
         m = _WALL_ITEM_RE.match(s)
         numbers = _numbers(m.groups()) if m else None
         pair = tuple(sorted(numbers)) if numbers else None
-        if pair in legal:
+        if pair and pair[0] < len(nearby) and pair[1] in nearby[pair[0]]:
             walls.append(pair)
         else:
             faults.append((no, "zones out of bounds or not adjacent" if m

@@ -154,6 +154,15 @@ class TestEvalAndReport:
         assert (tmp_path / "resummary.csv").exists()
 
 
+    @pytest.mark.parametrize("concurrency", [0, -1])
+    def test_bad_concurrency_override(self, tmp_path, capsys, concurrency):
+        self.build_experiment(tmp_path)
+        assert run_cli("--workdir", tmp_path, "eval", "--spec", "exp.json",
+                       "--concurrency", concurrency) == 1
+        assert "concurrency must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
 class TestMockEval:
     def test_small_end_to_end(self, tmp_path, capsys):
         assert run_cli("--workdir", tmp_path, "mock-eval", "--out", "run",

@@ -455,7 +455,17 @@ class TestSpecLoading:
 
     def test_bad_values(self, tmp_path, small_corpus):
         corpus_dir, _ = small_corpus
-        for override in ({"concurrency": 0}, {"scoring_mode": "vibes"}, {"repeats": 0}):
+        provider = {"name": "x", "model": "good", "endpoint": "mock:x.json"}
+        for override in (
+            {"concurrency": 0},
+            {"scoring_mode": "vibes"},
+            {"repeats": 0},
+            {"providers": [{**provider, "rate_per_s": 0}]},
+            {"providers": [{**provider, "rate_per_s": -2.0}]},
+            {"providers": [provider, {**provider, "model": "bad"}]},
+            {"scenarios": [{"name": "one-shot", "k": 1}, {"name": "one-shot", "k": 1}]},
+            {"scenarios": [{"name": "one-shot", "k": 1}, {"name": "one-shot", "k": 2}]},
+        ):
             payload = {
                 "corpus": str(corpus_dir),
                 "output": "out",

@@ -153,7 +153,10 @@ class TestParse:
         (lambda lines: ["5 6 4 8 9" if l.split() == list("56789") else l for l in lines], 8),
         (lambda lines: [l for l in lines if l.strip() != "* EXIT at 1"], 15),
         (lambda lines: lines + ["P.S. good luck"], 23),
-    ], ids=["delete-line-4", "delete-line-5", "bad-zone-row", "delete-exit", "trailing-text"])
+        (lambda lines: [l.replace("* 6 and 7", "* 4 and 5") for l in lines], 21),
+        (lambda lines: [l.replace("* 6 and 7", "* 6 and 10") for l in lines], 21),
+    ], ids=["delete-line-4", "delete-line-5", "bad-zone-row", "delete-exit", "trailing-text",
+            "wall-wraps-row", "wall-out-of-range"])
     def test_pinned_line_numbers(self, m0, edit, line_no):
         text = "\n".join(edit(serialize(m0).text.splitlines())) + "\n"
         with pytest.raises(MalformedDescription) as info:

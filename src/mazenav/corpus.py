@@ -1,5 +1,11 @@
 """Corpus persistence: one .maze description file per maze plus a manifest
-recording ids, roles (test/shot), generation config, and content hashes."""
+recording ids, roles (test/shot), generation config, and content hashes.
+
+``build_corpus`` returns the corpus it wrote: the generated mazes under the
+ids ``save_corpus`` gave them, and the manifest's config. It reads nothing
+back. ``load_corpus`` is the only thing that parses corpus files; it checks
+every file's sha256 and parses every file on each load.
+"""
 
 from __future__ import annotations
 

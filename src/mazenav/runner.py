@@ -12,6 +12,11 @@ propagates; the records written before it stay.
 The summaries, report.txt and summary.csv all render from one tally: a
 single walk over the records that groups their scores in the report's mode
 and counts execution-mode first faults per provider.
+
+``run_records`` runs the trials and returns every record of the log, the
+loaded ones and the new ones. ``run()`` returns their summaries, and the
+CLI's eval and mock-eval write their reports from the same records, so the
+log is read once per run.
 """
 
 from __future__ import annotations

@@ -20,7 +20,7 @@ from .instructions import (
 )
 from .scoring import MetricsSummary, RunScore, score_run, summarize
 from .simulator import ExecutionTrace, Fault, FaultKind, execute, initial_heading, step
-from .solver import Solution, emit_instructions, optimal_solutions, shortest_cell_paths
+from .solver import Solution, optimal_solutions, shortest_cell_paths
 from .textform import MazeDescription, parse, render_ascii, serialize
 
 __version__ = "0.1.0"
@@ -45,7 +45,6 @@ __all__ = [
     "StepIn",
     "Turn",
     "canonical_render",
-    "emit_instructions",
     "execute",
     "generate",
     "generate_corpus",

@@ -171,8 +171,19 @@ def cmd_mock_eval(args) -> int:
     corpus_dir = args.workdir / args.corpus if args.corpus else out / "corpus"
     if (corpus_dir / "manifest.json").exists():
         corpus = load_corpus(corpus_dir)
+        # A reused corpus must match every flag given; flags left out are not compared.
+        flags = {"seed": (args.seed, corpus.config["seed"]),
+                 "n_test": (args.n_test, len(corpus.tests)),
+                 "n_shot": (args.n_shot, len(corpus.shots))}
+        differ = [f"{name} {built} (flag: {flag})" for name, (flag, built) in flags.items()
+                  if flag not in (None, built)]
+        if differ:
+            raise CorpusError(f"corpus {corpus_dir} was built with {', '.join(differ)}; "
+                              "use another --out or --corpus, or leave those flags out")
     else:
-        corpus = build_corpus(corpus_dir, GenConfig(seed=args.seed), args.n_test, args.n_shot)
+        corpus = build_corpus(corpus_dir, GenConfig(seed=42 if args.seed is None else args.seed),
+                              34 if args.n_test is None else args.n_test,
+                              6 if args.n_shot is None else args.n_shot)
 
     out.mkdir(parents=True, exist_ok=True)
     providers = []
@@ -246,9 +257,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mock-eval", help="end-to-end run against scripted providers")
     p.add_argument("--out", type=Path, default=Path("mock-run"))
     p.add_argument("--corpus", type=Path, help="reuse an existing corpus directory")
-    p.add_argument("--n-test", type=int, default=34)
-    p.add_argument("--n-shot", type=int, default=6)
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--n-test", type=int, help="default 34; a reused corpus must match")
+    p.add_argument("--n-shot", type=int, help="default 6; a reused corpus must match")
+    p.add_argument("--seed", type=int, help="default 42; a reused corpus must match")
     p.add_argument("--mode", choices=MODES, default=MODE_ORACLE)
     p.add_argument("--concurrency", type=int, default=4)
     p.set_defaults(func=cmd_mock_eval)

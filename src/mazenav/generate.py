@@ -41,14 +41,23 @@ class GenConfig:
     def __post_init__(self) -> None:
         if self.rows < 1 or self.cols < 1:
             raise ValueError("grid must be at least 1x1")
-        if self.rows * self.cols > MAX_CELLS:
-            raise ValueError(f"a {self.rows}x{self.cols} grid has {self.rows * self.cols} cells; "
+        cells = self.rows * self.cols
+        if cells > MAX_CELLS:
+            raise ValueError(f"a {self.rows}x{self.cols} grid has {cells} cells; "
                              f"generated mazes have at most {MAX_CELLS}")
         limit = self.rows * (self.cols - 1) + self.cols * (self.rows - 1)  # wall slots
         if not 0 <= self.wall_count <= limit:
             raise ValueError(f"wall_count must be in [0, {limit}], got {self.wall_count}")
         if not 1 <= self.min_path <= self.max_path:
             raise ValueError("need 1 <= min_path <= max_path")
+        # Windows no maze can meet would spend max_attempts full-grid BFS runs.
+        crossing = min(self.rows, self.cols) - 1
+        if self.opposite_sides and self.max_path < crossing:
+            raise ValueError(f"max_path must be >= {crossing}: entrance and exit on opposite long "
+                             f"sides of a {self.rows}x{self.cols} grid are that many moves apart")
+        if self.min_path > cells - 1:
+            raise ValueError(f"min_path must be <= {cells - 1}: a shortest path "
+                             f"visits each of the {cells} cells at most once")
 
 
 def _long_side_pair(rows: int, cols: int) -> tuple[Heading, Heading]:

@@ -8,7 +8,8 @@ the outer boundary: a cell plus the compass side that faces off-grid.
 This module is the one place that knows the geometry: the clockwise heading
 order (CLOCKWISE), the neighbours of every cell of a shape (open_adjacency,
 cached per shape, and adjacency, its walled view for one maze) and the wall
-slots the generator samples from (internal_adjacencies).
+slots the generator samples from (internal_adjacencies). Two cells touch
+when one is in the other's row of open_adjacency.
 """
 
 from __future__ import annotations
@@ -102,7 +103,7 @@ class Maze:
             a, b = pair
             if not (self._in_bounds(a) and self._in_bounds(b)):
                 raise MazeError(f"wall pair {pair} out of bounds")
-            if not _adjacent(self.rows, self.cols, a, b):
+            if b not in open_adjacency(self.rows, self.cols)[a]:
                 raise MazeError(f"wall pair {pair} is not orthogonally adjacent")
             normalized.add((min(a, b), max(a, b)))
         object.__setattr__(self, "walls", frozenset(normalized))
@@ -131,12 +132,6 @@ class Maze:
         return not (0 <= nr < self.rows and 0 <= nc < self.cols)
 
 
-def _adjacent(rows: int, cols: int, a: int, b: int) -> bool:
-    ra, ca = divmod(a, cols)
-    rb, cb = divmod(b, cols)
-    return abs(ra - rb) + abs(ca - cb) == 1
-
-
 def cell_rc(maze: Maze, cell: int) -> tuple[int, int]:
     """(row, col) of a cell index; raises on out-of-bounds."""
     _check_bounds(maze, cell)
@@ -151,7 +146,7 @@ def _check_bounds(maze: Maze, cell: int) -> None:
 def adjacent(maze: Maze, a: int, b: int) -> bool:
     _check_bounds(maze, a)
     _check_bounds(maze, b)
-    return _adjacent(maze.rows, maze.cols, a, b)
+    return b in open_adjacency(maze.rows, maze.cols)[a]
 
 
 def passable(maze: Maze, a: int, b: int) -> bool:

@@ -3,9 +3,12 @@
 Every trial appends one JSON record line to records.jsonl in the output
 directory. Trials whose key (provider, model, scenario, maze, repeat) is
 already present are skipped, so interrupted runs resume and finished runs
-are idempotent. Workers only do pure scoring plus the gateway call; records
-are written by the submitting thread in planning order, which keeps the log
-byte-stable regardless of scheduling. A trial that raises anything but a
+are idempotent. Before it resumes, a run recomputes the prompt hash of each
+loaded record of its providers and scenarios and refuses a log that holds
+one made from another prompt or for a maze the corpus lacks. Workers only
+do pure scoring plus the gateway call; records are written by the
+submitting thread in planning order, which keeps the log byte-stable
+regardless of scheduling. A trial that raises anything but a
 GatewayError, or an interrupt, cancels the trials still queued and
 propagates; the records written before it stay.
 
@@ -265,6 +268,28 @@ def _run_trial(
     )
 
 
+def _check_resumed(spec, records, tests, scenario_shots, prompts, log_path) -> None:
+    """Refuse to resume a log whose records of this spec's providers and
+    scenarios were made from other prompts: another corpus, shots or system
+    prompt. Records of other providers or scenarios are left as they are."""
+    providers = {(p.name, p.model) for p in spec.providers}
+    scenarios = {sc.name: sc for sc in spec.scenarios}
+    for record in records:
+        scenario = scenarios.get(record.scenario)
+        if scenario is None or (record.provider, record.model) not in providers:
+            continue
+        maze = tests.get(record.maze_id)
+        if maze is None:
+            problem = f"is for maze {record.maze_id!r}, which the corpus does not hold"
+        elif prompt_hash(build_messages(maze, scenario_shots[scenario.name], scenario,
+                                        cache=prompts)) != record.prompt_hash:
+            problem = "was made from another prompt"
+        else:
+            continue
+        raise SpecError(f"record {record.key()} in {log_path} {problem}; "
+                        "use a fresh output directory")
+
+
 def run(spec: ExperimentSpec, *, clock=time.time) -> list[MetricsSummary]:
     """Summaries of run_records(spec), the full record log, in the spec's mode."""
     return summaries_from(run_records(spec, clock=clock), spec.scoring_mode)
@@ -282,6 +307,8 @@ def run_records(spec: ExperimentSpec, *, clock=time.time) -> list[RunRecord]:
     spec.output_dir.mkdir(parents=True, exist_ok=True)
     log_path = spec.output_dir / RECORDS_NAME
     records = _load_records(log_path)
+    prompts = PromptCache()
+    _check_resumed(spec, records, dict(corpus.tests), scenario_shots, prompts, log_path)
     existing = {record.key() for record in records}
 
     planned = [
@@ -297,7 +324,6 @@ def run_records(spec: ExperimentSpec, *, clock=time.time) -> list[RunRecord]:
         maze_id: reference_solution(maze) for maze_id, maze in corpus.tests if maze_id in needed
     }
 
-    prompts = PromptCache()
     _end_on_newline(log_path)
     with open(log_path, "a", encoding="utf-8") as log, ThreadPoolExecutor(
         max_workers=spec.concurrency

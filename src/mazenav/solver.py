@@ -24,14 +24,15 @@ Both walkers share one move rule, _optimal_moves: from a (cell, heading)
 state, the successors whose move keeps the instruction count optimal.
 optimal_solutions follows every such move and sorts what it finds;
 reference_solution takes the first one from each state, so it lists and
-sorts nothing. Both emit instructions from the headings of the moves.
+sorts nothing. _solution is the only emitter: it turns the headings of an
+optimal path's moves into instructions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .grid import CLOCKWISE, Heading, Maze, MazeError, adjacency, cell_rc, passable
+from .grid import CLOCKWISE, Maze, adjacency, cell_rc
 from .instructions import ExitAt, Forward, Instruction, StepIn, Turn, render_sequence
 from .simulator import initial_heading
 
@@ -183,60 +184,6 @@ def _solution(maze: Maze, path: list[tuple]) -> Solution:
     instrs += _TURN_RUNS[(CLOCKWISE.index(maze.exit.side) - facing) % 4]
     instrs.append(ExitAt(cells[-1]))
     return Solution(cells, tuple(instrs), sum(type(i) is Turn for i in instrs))
-
-
-def _move_heading(maze: Maze, a: int, b: int) -> Heading:
-    ra, ca = cell_rc(maze, a)
-    rb, cb = cell_rc(maze, b)
-    for h in CLOCKWISE:
-        if (rb - ra, cb - ca) == h.delta:
-            return h
-    raise MazeError(f"cells {a} and {b} are not adjacent")
-
-
-def _turns_to(current: Heading, target: Heading) -> list[Instruction]:
-    delta = (CLOCKWISE.index(target) - CLOCKWISE.index(current)) % 4
-    if delta == 0:
-        return []
-    if delta == 1:
-        return [Turn("right")]
-    if delta == 3:
-        return [Turn("left")]
-    return [Turn("right"), Turn("right")]
-
-
-def emit_instructions(maze: Maze, cells: list[int] | tuple) -> list[Instruction]:
-    """Turn a valid entrance->exit cell path into first-person instructions.
-
-    Consecutive same-heading moves merge into one Forward to the run's last
-    cell; a final turn is added when needed to face the exit side.
-    """
-    cells = list(cells)
-    if not cells:
-        raise MazeError("empty cell path")
-    if cells[0] != maze.entrance.cell:
-        raise MazeError(f"path starts at {cells[0]}, entrance is {maze.entrance.cell}")
-    if cells[-1] != maze.exit.cell:
-        raise MazeError(f"path ends at {cells[-1]}, exit is {maze.exit.cell}")
-    for a, b in zip(cells, cells[1:]):
-        if not passable(maze, a, b):
-            raise MazeError(f"path blocked between {a} and {b}")
-
-    heading = initial_heading(maze)
-    instrs: list[Instruction] = [StepIn(cells[0])]
-    i = 1
-    while i < len(cells):
-        move = _move_heading(maze, cells[i - 1], cells[i])
-        run_end = i
-        while run_end + 1 < len(cells) and _move_heading(maze, cells[run_end], cells[run_end + 1]) == move:
-            run_end += 1
-        instrs.extend(_turns_to(heading, move))
-        heading = move
-        instrs.append(Forward(cells[run_end]))
-        i = run_end + 1
-    instrs.extend(_turns_to(heading, maze.exit.side))
-    instrs.append(ExitAt(cells[-1]))
-    return instrs
 
 
 def optimal_solutions(maze: Maze) -> list[Solution]:

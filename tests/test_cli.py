@@ -1,5 +1,6 @@
 import hashlib
 import json
+import time
 from collections import Counter
 
 import pytest
@@ -50,6 +51,21 @@ class TestGen:
         assert run_cli("--workdir", tmp_path, "gen", "--out", "c",
                        "--rows", 10000, "--cols", 10000) == 1
         assert "cells" in capsys.readouterr().err
+        assert not (tmp_path / "c").exists()
+
+    @pytest.mark.parametrize("options, bound", [
+        (("--rows", 10, "--cols", 10), "max_path must be >= 9"),
+        (("--rows", 30, "--cols", 30), "max_path must be >= 29"),
+        (("--rows", 500, "--cols", 500), "max_path must be >= 499"),
+        (("--rows", 2, "--cols", 5, "--min-path", 20, "--max-path", 30), "min_path must be <= 9"),
+    ])
+    def test_unmeetable_window_rejected_at_once(self, tmp_path, capsys, options, bound):
+        # Each ran every one of the 100,000 attempts before it failed.
+        for command in (("gen", "--out", "c"), ("serialize",)):
+            start = time.perf_counter()
+            assert run_cli("--workdir", tmp_path, *command, *options) == 1
+            assert time.perf_counter() - start < 1.0
+            assert bound in capsys.readouterr().err
         assert not (tmp_path / "c").exists()
 
 
@@ -244,6 +260,22 @@ class TestMockEval:
         calls = self.count_reads(monkeypatch)
         assert run_cli("--workdir", tmp_path, *self.MOCK_ARGS) == 0
         assert calls["from_json_line"] == 24 and calls["from_dict"] == 24
+
+    def test_reused_corpus_must_match_flags(self, tmp_path, capsys):
+        assert run_cli("--workdir", tmp_path, "mock-eval", "--out", "run",
+                       "--n-test", 2, "--seed", 11) == 0
+        before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+        capsys.readouterr()
+        assert run_cli("--workdir", tmp_path, "mock-eval", "--out", "run",
+                       "--n-test", 4, "--seed", 12) == 1
+        err = capsys.readouterr().err
+        assert "seed 11 (flag: 12)" in err and "n_test 2 (flag: 4)" in err
+        assert "n_shot" not in err
+        assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+        # The same flags, or none of them, reuse the corpus.
+        for flags in (("--n-test", 2, "--seed", 11, "--n-shot", 6), ()):
+            assert run_cli("--workdir", tmp_path, "mock-eval", "--out", "run", *flags) == 0
+            assert "Records: 12" in capsys.readouterr().out
 
     def test_idempotent(self, tmp_path):
         run_cli("--workdir", tmp_path, "mock-eval", "--out", "run",

@@ -29,13 +29,32 @@ class TestGenConfig:
         with pytest.raises(ValueError, match="cells"):
             GenConfig(rows=10000, cols=10000)
         assert time.perf_counter() - start < 0.1
-        GenConfig(rows=500, cols=500)  # exactly MAX_CELLS
+        GenConfig(rows=500, cols=500, min_path=499, max_path=998)  # exactly MAX_CELLS
 
     def test_path_bounds(self):
         with pytest.raises(ValueError):
             GenConfig(min_path=0)
         with pytest.raises(ValueError):
             GenConfig(min_path=5, max_path=4)
+
+    @pytest.mark.parametrize("rows, cols", [(10, 10), (30, 30), (8, 20), (20, 8)])
+    def test_window_below_crossing_rejected(self, rows, cols):
+        # Opposite long sides lie min(rows, cols) - 1 moves apart; the window is 3-6.
+        with pytest.raises(ValueError, match=f"max_path must be >= {min(rows, cols) - 1}"):
+            GenConfig(rows=rows, cols=cols)
+        GenConfig(rows=rows, cols=cols, opposite_sides=False)
+
+    def test_window_above_cell_count_rejected(self):
+        with pytest.raises(ValueError, match="min_path must be <= 9"):
+            GenConfig(min_path=20, max_path=30)
+        with pytest.raises(ValueError, match="min_path must be <= 9"):
+            GenConfig(min_path=10, max_path=10, opposite_sides=False)
+        GenConfig(wall_count=0, min_path=9, max_path=9, opposite_sides=False)
+
+    def test_window_at_crossing_accepted(self):
+        cfg = GenConfig(rows=4, cols=6, wall_count=0, min_path=1, max_path=3, seed=3)
+        maze = generate(cfg)
+        assert bfs_distances(maze, maze.entrance.cell)[maze.exit.cell] == 3
 
 
 class TestGenerate:

@@ -148,6 +148,61 @@ class TestRun:
             assert prompt_hash(messages) == record.prompt_hash
 
 
+class TestResumeIntegrity:
+    """A resumed log must hold only records made from the prompts this run
+    would send; otherwise the run refuses before any provider call."""
+
+    def cut_run(self, tmp_path, corpus_dir, corpus, **kw):
+        """A run cut after 5 records, so a rerun has trials to make."""
+        endpoint = write_script(tmp_path, corpus, oracle_answers(corpus))
+        spec = make_spec(tmp_path, corpus_dir, endpoint, **kw)
+        run(spec, clock=lambda: 0.0)
+        log_path = spec.output_dir / RECORDS_NAME
+        lines = log_path.read_text(encoding="utf-8").splitlines(keepends=True)
+        log_path.write_text("".join(lines[:5]), encoding="utf-8")
+        return spec, log_path
+
+    def assert_refused(self, spec, log_path, monkeypatch, match):
+        log = log_path.read_bytes()
+        calls = []
+        monkeypatch.setattr(gateway, "complete", lambda *args, **kw: calls.append(args))
+        with pytest.raises(SpecError, match=match):
+            run(spec, clock=lambda: 0.0)
+        assert calls == []
+        assert log_path.read_bytes() == log
+
+    def test_corpus_rebuilt_with_another_seed(self, tmp_path, small_corpus, monkeypatch):
+        corpus_dir, corpus = small_corpus
+        spec, log_path = self.cut_run(tmp_path, corpus_dir, corpus)
+        build_corpus(corpus_dir, GenConfig(seed=32), 4, 6)
+        self.assert_refused(spec, log_path, monkeypatch,
+                            r"record \('mock-a', 'mock-a-v1', 'zero-shot', 'test-000', 0\) "
+                            r".* was made from another prompt; use a fresh output directory")
+
+    def test_corpus_rebuilt_without_a_maze(self, tmp_path, small_corpus, monkeypatch):
+        corpus_dir, corpus = small_corpus
+        spec, log_path = self.cut_run(tmp_path, corpus_dir, corpus,
+                                      scenarios=[Scenario("zero-shot", 0)])
+        # The same seed gives the same first two test mazes, and zero-shot
+        # prompts hold no shots, so only test-002 and test-003 are stale.
+        build_corpus(corpus_dir, GenConfig(seed=31), 2, 6)
+        self.assert_refused(spec, log_path, monkeypatch,
+                            r"'test-002', 0\) .* is for maze 'test-002', which the corpus "
+                            r"does not hold; use a fresh output directory")
+
+    def test_system_prompt_edited(self, tmp_path, small_corpus, monkeypatch):
+        corpus_dir, corpus = small_corpus
+        spec, log_path = self.cut_run(tmp_path, corpus_dir, corpus)
+        monkeypatch.setattr(gateway, "SYSTEM_PROMPT", gateway.SYSTEM_PROMPT + "Be brief.\n")
+        kept = log_path.read_text(encoding="utf-8")
+        # Records of a provider the spec does not name are left as they are.
+        other = make_spec(tmp_path, corpus_dir, spec.providers[0].endpoint, providers=[
+            ProviderConfig(name="mock-b", model="mock-b-v1", endpoint=spec.providers[0].endpoint)])
+        run(other, clock=lambda: 0.0)
+        assert log_path.read_text(encoding="utf-8").startswith(kept)
+        self.assert_refused(spec, log_path, monkeypatch, "was made from another prompt")
+
+
 class TestFailFast:
     """A trial that crashes, or an interrupt, stops the run: queued trials
     make no provider call and the records written before it stay."""

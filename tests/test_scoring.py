@@ -10,7 +10,9 @@ from mazenav.scoring import (
     summarize,
 )
 from mazenav.simulator import FaultKind
-from mazenav.solver import emit_instructions, reference_solution
+from mazenav.solver import reference_solution
+
+from .reference_impl import emit_instructions
 
 
 def respond(instrs) -> "parse_response":

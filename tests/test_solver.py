@@ -11,7 +11,6 @@ from mazenav.simulator import execute
 from mazenav.solver import (
     Solution,
     UnsolvableMazeError,
-    emit_instructions,
     optimal_solutions,
     reference_solution,
     shortest_cell_paths,
@@ -19,7 +18,7 @@ from mazenav.solver import (
 )
 from mazenav.textform import serialize
 
-from .reference_impl import bf_distance, bf_optimal_solutions, bf_shortest_paths
+from .reference_impl import bf_distance, bf_optimal_solutions, bf_shortest_paths, emit_instructions
 
 
 class TestShortestCellPaths:

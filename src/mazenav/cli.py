@@ -23,6 +23,7 @@ from .runner import (
     RECORDS_NAME,
     ExperimentSpec,
     SpecError,
+    check_corpus_size,
     load_records,
     load_spec,
     report_text,
@@ -169,7 +170,20 @@ def _mock_script(corpus, flaw_every: int | None) -> dict:
 def cmd_mock_eval(args) -> int:
     out = args.workdir / args.out
     corpus_dir = args.workdir / args.corpus if args.corpus else out / "corpus"
-    if (corpus_dir / "manifest.json").exists():
+    flaws = {"mock-oracle": None, "mock-partial": 2}
+    scripts = {name: out / f"script-{name}.json" for name in flaws}
+    # The spec and the corpus size are checked before anything is written.
+    spec = ExperimentSpec(
+        corpus_dir=corpus_dir,
+        output_dir=out,
+        providers=[ProviderConfig(name=name, model=f"{name}-v1", endpoint=f"mock:{path}")
+                   for name, path in scripts.items()],
+        scoring_mode=args.mode,
+        concurrency=args.concurrency,
+        experiment_id="mock-eval",
+    )
+    reused = (corpus_dir / "manifest.json").exists()
+    if reused:
         corpus = load_corpus(corpus_dir)
         # A reused corpus must match every flag given; flags left out are not compared.
         flags = {"seed": (args.seed, corpus.config["seed"]),
@@ -180,30 +194,19 @@ def cmd_mock_eval(args) -> int:
         if differ:
             raise CorpusError(f"corpus {corpus_dir} was built with {', '.join(differ)}; "
                               "use another --out or --corpus, or leave those flags out")
+        n_test, n_shot = len(corpus.tests), len(corpus.shots)
     else:
+        n_test = 34 if args.n_test is None else args.n_test
+        n_shot = 6 if args.n_shot is None else args.n_shot
+    check_corpus_size(spec, n_test, n_shot)
+    if not reused:
         corpus = build_corpus(corpus_dir, GenConfig(seed=42 if args.seed is None else args.seed),
-                              34 if args.n_test is None else args.n_test,
-                              6 if args.n_shot is None else args.n_shot)
+                              n_test, n_shot)
 
     out.mkdir(parents=True, exist_ok=True)
-    providers = []
-    for name, flaw_every in (("mock-oracle", None), ("mock-partial", 2)):
-        script_path = out / f"script-{name}.json"
-        script_path.write_text(
-            json.dumps(_mock_script(corpus, flaw_every), indent=0, sort_keys=True),
-            encoding="utf-8",
-        )
-        providers.append(
-            ProviderConfig(name=name, model=f"{name}-v1", endpoint=f"mock:{script_path}")
-        )
-    spec = ExperimentSpec(
-        corpus_dir=corpus_dir,
-        output_dir=out,
-        providers=providers,
-        scoring_mode=args.mode,
-        concurrency=args.concurrency,
-        experiment_id="mock-eval",
-    )
+    for name, path in scripts.items():
+        path.write_text(json.dumps(_mock_script(corpus, flaws[name]), indent=0, sort_keys=True),
+                        encoding="utf-8")
     return _run_and_report(spec, clock=lambda: 0.0)
 
 

@@ -46,7 +46,7 @@ def save_corpus(directory, tests: list[Maze], shots: list[Maze], cfg: GenConfig)
     for role, mazes in (("test", tests), ("shot", shots)):
         written.append(tuple((f"{role}-{i:03d}", maze) for i, maze in enumerate(mazes)))
         for maze_id, maze in written[-1]:
-            text = serialize(maze, maze_id).text
+            text = serialize(maze).text
             filename = f"{maze_id}.maze"
             (directory / filename).write_text(text, encoding="utf-8")
             entries.append(

@@ -5,6 +5,13 @@ generation is rejection sampling: draw a uniform wall subset of fixed size
 plus boundary openings, keep the result when it is solvable, its shortest
 path length falls in the configured window, and (by default) its minimal
 instruction solution is unique so that step-level scoring is unambiguous.
+
+Each generate call has a deterministic work budget, WORK_BUDGET, counted in
+cell visits: every candidate charges its grid's cell count for its BFS, and
+every uniqueness check the exit BFS of the solver (the cell count again)
+plus the cells of each optimal path it listed. A window that passes
+GenConfig's arithmetic but that so few walls cannot meet then fails with
+GenerationError after about a minute, whatever the grid size.
 """
 
 from __future__ import annotations
@@ -21,9 +28,13 @@ from .solver import bfs_distances, optimal_solutions
 # 2.4 s and 190 MiB peak (CPython 3.11, shared 2-CPU x86 host).
 MAX_CELLS = 250_000
 
+# About one minute of rejected candidates at 1.3-2.3 M cell visits per second
+# (30x30 to 500x500 grids, CPython 3.11, shared 2-CPU x86 host).
+WORK_BUDGET = 100_000_000
+
 
 class GenerationError(RuntimeError):
-    """Rejection sampling exhausted its attempt budget."""
+    """Rejection sampling exhausted its attempt or work budget."""
 
 
 @dataclass(frozen=True)
@@ -86,29 +97,41 @@ def _opening_on(cfg: GenConfig, side: Heading, rng: random.Random) -> Opening:
     return Opening(row * cfg.cols + col, side)
 
 
-def _candidate(cfg: GenConfig, rng: random.Random, adjacencies: tuple) -> Maze | None:
+def _candidate(cfg: GenConfig, rng: random.Random, adjacencies: tuple) -> tuple[Maze | None, int]:
+    """The drawn maze, or None when it fails a constraint, and its work in
+    cell visits."""
     walls = rng.sample(adjacencies, cfg.wall_count)
     entrance, exit_ = _sample_openings(cfg, rng)
+    cells = cfg.rows * cfg.cols
     try:
         maze = Maze(cfg.rows, cfg.cols, frozenset(walls), entrance, exit_)
     except MazeError:
-        return None  # entrance == exit draw in 1xN relaxed mode
+        return None, cells  # entrance == exit draw in 1xN relaxed mode
     dist = bfs_distances(maze, entrance.cell).get(exit_.cell)
     if dist is None or not cfg.min_path <= dist <= cfg.max_path:
-        return None
-    if cfg.require_unique_optimal and len(optimal_solutions(maze)) != 1:
-        return None
-    return maze
+        return None, cells
+    if cfg.require_unique_optimal:
+        solutions = optimal_solutions(maze)
+        if len(solutions) != 1:
+            return None, 2 * cells + sum(len(s.cells) for s in solutions)
+    return maze, cells
 
 
 def generate(cfg: GenConfig, rng: random.Random | None = None) -> Maze:
     """Deterministic function of cfg.seed (or of the supplied rng stream)."""
     rng = rng if rng is not None else random.Random(cfg.seed)
     adjacencies = internal_adjacencies(cfg.rows, cfg.cols)
-    for _ in range(cfg.max_attempts):
-        maze = _candidate(cfg, rng, adjacencies)
+    work = 0
+    for attempt in range(1, cfg.max_attempts + 1):
+        maze, cost = _candidate(cfg, rng, adjacencies)
         if maze is not None:
             return maze
+        work += cost
+        if work > WORK_BUDGET:
+            raise GenerationError(
+                f"no maze satisfying the constraints within the work budget of "
+                f"{WORK_BUDGET:,} cell visits (generate.WORK_BUDGET), after {attempt} attempts"
+            )
     raise GenerationError(
         f"no maze satisfying the constraints after {cfg.max_attempts} attempts"
     )

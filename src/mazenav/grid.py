@@ -6,10 +6,12 @@ cells and are stored as unordered pairs. Entrance and exit are openings in
 the outer boundary: a cell plus the compass side that faces off-grid.
 
 This module is the one place that knows the geometry: the clockwise heading
-order (CLOCKWISE), the neighbours of every cell of a shape (open_adjacency,
-cached per shape, and adjacency, its walled view for one maze) and the wall
-slots the generator samples from (internal_adjacencies). Two cells touch
-when one is in the other's row of open_adjacency.
+order (CLOCKWISE) and the one step rule, steps(rows, cols), cached per
+shape: the cell one step ahead of each cell in each heading, or None off
+the grid. The neighbours of every cell (open_adjacency, and adjacency, its
+walled view for one maze), the openings, the wall slots the generator
+samples from (internal_adjacencies), the simulator's rays and the solver's
+move headings all read that table.
 """
 
 from __future__ import annotations
@@ -31,11 +33,6 @@ class Heading(Enum):
     S = "S"
     W = "W"
 
-    @property
-    def delta(self) -> tuple[int, int]:
-        """(row, col) increment of one step in this heading."""
-        return _DELTAS[self]
-
     def left(self) -> "Heading":
         return CLOCKWISE[(CLOCKWISE.index(self) - 1) % 4]
 
@@ -48,12 +45,6 @@ class Heading(Enum):
 
 # Clockwise as seen from above; "left" turns are counterclockwise.
 CLOCKWISE = (Heading.N, Heading.E, Heading.S, Heading.W)
-_DELTAS = {
-    Heading.N: (-1, 0),
-    Heading.E: (0, 1),
-    Heading.S: (1, 0),
-    Heading.W: (0, -1),
-}
 
 
 def rotate(heading: Heading, direction: str) -> Heading:
@@ -110,7 +101,7 @@ class Maze:
         for label, opening in (("entrance", self.entrance), ("exit", self.exit)):
             if not self._in_bounds(opening.cell):
                 raise MazeError(f"{label} cell {opening.cell} out of bounds")
-            if not self._faces_off_grid(opening):
+            if steps(self.rows, self.cols)[opening.cell][CLOCKWISE.index(opening.side)] is not None:
                 raise MazeError(
                     f"{label} side {opening.side.value} does not face off-grid "
                     f"from cell {opening.cell}"
@@ -125,27 +116,16 @@ class Maze:
     def _in_bounds(self, cell: int) -> bool:
         return 0 <= cell < self.rows * self.cols
 
-    def _faces_off_grid(self, opening: Opening) -> bool:
-        r, c = divmod(opening.cell, self.cols)
-        dr, dc = opening.side.delta
-        nr, nc = r + dr, c + dc
-        return not (0 <= nr < self.rows and 0 <= nc < self.cols)
 
-
-def cell_rc(maze: Maze, cell: int) -> tuple[int, int]:
-    """(row, col) of a cell index; raises on out-of-bounds."""
-    _check_bounds(maze, cell)
-    return divmod(cell, maze.cols)
-
-
-def _check_bounds(maze: Maze, cell: int) -> None:
+def check_cell(maze: Maze, cell: int) -> None:
+    """Raise MazeError unless ``cell`` lies on the maze's grid."""
     if not 0 <= cell < maze.size:
         raise MazeError(f"cell {cell} out of bounds for {maze.rows}x{maze.cols} grid")
 
 
 def adjacent(maze: Maze, a: int, b: int) -> bool:
-    _check_bounds(maze, a)
-    _check_bounds(maze, b)
+    check_cell(maze, a)
+    check_cell(maze, b)
     return b in open_adjacency(maze.rows, maze.cols)[a]
 
 
@@ -156,21 +136,27 @@ def passable(maze: Maze, a: int, b: int) -> bool:
 
 def neighbors(maze: Maze, cell: int) -> list[int]:
     """In-bounds orthogonal neighbors reachable from ``cell``, ascending."""
-    _check_bounds(maze, cell)
+    check_cell(maze, cell)
     return [n for n in open_adjacency(maze.rows, maze.cols)[cell]
             if (min(cell, n), max(cell, n)) not in maze.walls]
 
 
 @lru_cache(maxsize=8)
+def steps(rows: int, cols: int) -> tuple[tuple[int | None, ...], ...]:
+    """The step rule: for every cell of a rows x cols grid, the cell one step
+    ahead in each heading of CLOCKWISE, or None where the step leaves the grid."""
+    size = rows * cols
+    return tuple((cell - cols if cell >= cols else None, cell + 1 if (cell + 1) % cols else None,
+                  cell + cols if cell + cols < size else None, cell - 1 if cell % cols else None)
+                 for cell in range(size))
+
+
+@lru_cache(maxsize=8)
 def open_adjacency(rows: int, cols: int) -> tuple[tuple[int, ...], ...]:
     """Neighbours of every cell of a wall-free rows x cols grid, ascending:
-    above, left, right, below."""
-    size = rows * cols
-    return tuple(
-        tuple(n for n, ok in ((cell - cols, cell >= cols), (cell - 1, cell % cols),
-                              (cell + 1, (cell + 1) % cols), (cell + cols, cell + cols < size)) if ok)
-        for cell in range(size)
-    )
+    above, left, right, below. Each row is that cell's row of steps without
+    its Nones, and shares its ints."""
+    return tuple(tuple(sorted(n for n in ahead if n is not None)) for ahead in steps(rows, cols))
 
 
 def adjacency(maze: Maze) -> list:
@@ -182,16 +168,6 @@ def adjacency(maze: Maze) -> list:
         adj[a] = [n for n in adj[a] if n != b]
         adj[b] = [n for n in adj[b] if n != a]
     return adj
-
-
-def step_cell(maze: Maze, cell: int, heading: Heading) -> int | None:
-    """Cell one step ahead in ``heading``, or None when that leaves the grid."""
-    r, c = cell_rc(maze, cell)
-    dr, dc = heading.delta
-    nr, nc = r + dr, c + dc
-    if 0 <= nr < maze.rows and 0 <= nc < maze.cols:
-        return nr * maze.cols + nc
-    return None
 
 
 @lru_cache(maxsize=8)

@@ -24,6 +24,8 @@ log is read once per run.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import os
 import time
@@ -163,6 +165,17 @@ def shots_for(scenario: Scenario, shot_entries: list) -> list:
     return pool[: scenario.k]
 
 
+def check_corpus_size(spec: ExperimentSpec, n_test: int, n_shot: int) -> None:
+    """Raise SpecError unless a corpus of n_test test and n_shot shot mazes
+    can run every scenario of the spec."""
+    if n_test < 0 or n_shot < 0:
+        raise SpecError("corpus sizes must be non-negative")
+    if n_test < 1:
+        raise SpecError("corpus has no test mazes")
+    for scenario in spec.scenarios:
+        shots_for(scenario, [None] * n_shot)
+
+
 def _load_records(path: Path) -> list[RunRecord]:
     if not path.exists():
         return []
@@ -299,8 +312,7 @@ def run_records(spec: ExperimentSpec, *, clock=time.time) -> list[RunRecord]:
     """Execute all missing trials, append their records, return every record
     of the log: the ones loaded, then the ones written, in log order."""
     corpus = load_corpus(spec.corpus_dir)
-    if not corpus.tests:
-        raise SpecError("corpus has no test mazes")
+    check_corpus_size(spec, len(corpus.tests), len(corpus.shots))
     shot_solutions = [(maze, reference_solution(maze)) for _, maze in corpus.shots]
     scenario_shots = {sc.name: shots_for(sc, shot_solutions) for sc in spec.scenarios}
 
@@ -455,10 +467,13 @@ def _report(tally: _Tally) -> str:
 
 
 def _csv(summaries: list[MetricsSummary]) -> str:
-    rows = ["model,scenario,n,complete_pct,partial_pct\n"]
-    for s in summaries:
-        rows.append(f"{s.model},{s.scenario},{s.n},{s.complete_pct:.1f},{s.partial_pct:.1f}\n")
-    return "".join(rows)
+    """CSV rows; a name holding a comma or quote is quoted, so it stays one field."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(("model", "scenario", "n", "complete_pct", "partial_pct"))
+    writer.writerows((s.model, s.scenario, s.n, f"{s.complete_pct:.1f}", f"{s.partial_pct:.1f}")
+                     for s in summaries)
+    return out.getvalue()
 
 
 def report_text(records: list[RunRecord], mode: str | None = None) -> str:

@@ -1,7 +1,8 @@
 """First-person execution of instruction sequences against a maze.
 
 All violations are reported as Fault values rather than exceptions so that
-scoring can pinpoint the first error. The fault kinds form a closed set;
+scoring can pinpoint the first error; a Forward finds its own in one walk of
+grid.steps, the one step rule. The fault kinds form a closed set;
 PROVIDER_ERROR is never produced here but reuses the same vocabulary for
 trials whose transport failed before any instruction existed.
 """
@@ -11,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .grid import Heading, Maze, Pose, passable, rotate, step_cell
+from .grid import CLOCKWISE, Heading, Maze, Pose, check_cell, rotate, steps
 from .instructions import ExitAt, Forward, Instruction, StepIn, Turn
 
 
@@ -81,17 +82,6 @@ def initial_heading(maze: Maze) -> Heading:
     return maze.entrance.side.opposite()
 
 
-def _ray_cells(maze: Maze, start: int, heading: Heading) -> list[int]:
-    cells = []
-    cur = start
-    while True:
-        nxt = step_cell(maze, cur, heading)
-        if nxt is None:
-            return cells
-        cells.append(nxt)
-        cur = nxt
-
-
 def step(
     maze: Maze, pose: Pose | None, instr: Instruction, *, lenient_exit: bool = False
 ) -> StepOutcome:
@@ -118,19 +108,23 @@ def step(
     if isinstance(instr, Forward):
         if not 0 <= instr.cell < maze.size:
             return _fault(FaultKind.OFF_GRID, f"position {instr.cell} is outside the grid")
-        ray = _ray_cells(maze, pose.cell, pose.heading)
-        if instr.cell not in ray:
-            return _fault(
-                FaultKind.NOT_ON_RAY,
-                f"position {instr.cell} is not straight ahead from {pose.cell} "
-                f"heading {pose.heading.value}",
-            )
-        prev = pose.cell
-        for cell in ray[: ray.index(instr.cell) + 1]:
-            if not passable(maze, prev, cell):
-                return _fault(FaultKind.WALL_BLOCKED, f"wall between {prev} and {cell}")
+        check_cell(maze, pose.cell)
+        # The grid edge before the target is NotOnRay; the first wall on the way, WallBlocked.
+        ahead, d = steps(maze.rows, maze.cols), CLOCKWISE.index(pose.heading)
+        prev, wall = pose.cell, ""
+        while (cell := ahead[prev][d]) is not None:
+            if not wall and (min(prev, cell), max(prev, cell)) in maze.walls:
+                wall = f"wall between {prev} and {cell}"
+            if cell == instr.cell:
+                if wall:
+                    return _fault(FaultKind.WALL_BLOCKED, wall)
+                return StepOutcome(pose=Pose(cell, pose.heading))
             prev = cell
-        return StepOutcome(pose=Pose(instr.cell, pose.heading))
+        return _fault(
+            FaultKind.NOT_ON_RAY,
+            f"position {instr.cell} is not straight ahead from {pose.cell} "
+            f"heading {pose.heading.value}",
+        )
 
     if isinstance(instr, ExitAt):
         if pose.cell != instr.cell or instr.cell != maze.exit.cell:

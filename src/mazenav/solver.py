@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .grid import CLOCKWISE, Maze, adjacency, cell_rc
+from .grid import CLOCKWISE, Maze, adjacency, check_cell, steps
 from .instructions import ExitAt, Forward, Instruction, StepIn, Turn, render_sequence
 from .simulator import initial_heading
 
@@ -56,7 +56,7 @@ class Solution:
 
 def bfs_distances(maze: Maze, start: int) -> dict[int, int]:
     """Moves from ``start`` to every reachable cell, in BFS order."""
-    cell_rc(maze, start)  # bounds check
+    check_cell(maze, start)
     adj, dist = adjacency(maze), {start: 0}
     layer, step = [start], 1
     while layer:
@@ -137,9 +137,7 @@ def _optimal_moves(maze: Maze):
     succ = _successors(maze)
     first = CLOCKWISE.index(initial_heading(maze))
     exit_side = CLOCKWISE.index(maze.exit.side)
-    # The heading index of a move by its cell offset. Vertical last: on a
-    # one-column grid an offset of 1 is a move south.
-    step = {1: 1, -1: 3, -maze.cols: 0, maze.cols: 2}
+    ahead = steps(maze.rows, maze.cols)  # a move's heading is ahead[cell].index(n)
     # Row 4 is the first move, which always starts a Forward.
     added = [[0 if h == d else _TURNS[(d - h) % 4] + 1 for d in range(4)] for h in range(4)]
     added.append([_TURNS[(d - first) % 4] + 1 for d in range(4)])
@@ -152,7 +150,7 @@ def _optimal_moves(maze: Maze):
             continue
         best = None
         for n in nxt:
-            d = step[n - cell]
+            d = ahead[cell].index(n)
             t = togo[n][d]
             via = [a + t for a in column[d]]
             best = via if best is None else [a if a < b else b for a, b in zip(via, best)]
@@ -161,7 +159,7 @@ def _optimal_moves(maze: Maze):
     def moves(state: tuple) -> list[tuple]:
         cell, h = state
         return [(n, d) for n in succ[cell]
-                if added[h][d := step[n - cell]] + togo[n][d] == togo[cell][h]]
+                if added[h][d := ahead[cell].index(n)] + togo[n][d] == togo[cell][h]]
 
     return moves
 

@@ -18,11 +18,10 @@ serializing, so a short text cannot make the parser build a huge grid.
 
 from __future__ import annotations
 
-import hashlib
 import re
 from dataclasses import dataclass
 
-from .grid import Heading, Maze, Opening, boundary_openings, cell_rc, open_adjacency
+from .grid import Heading, Maze, Opening, boundary_openings, check_cell, open_adjacency
 
 HEADER = "Here is the text description of a maze:"
 TOPOLOGY_HEADER = "- From a bird's eye perspective, the room has the following zone topology:"
@@ -51,7 +50,6 @@ class MalformedDescription(ValueError):
 @dataclass(frozen=True)
 class MazeDescription:
     text: str
-    maze_id: str
 
 
 def _collapse(line: str) -> str:
@@ -112,7 +110,7 @@ def _topology_lines(maze: Maze) -> list[str]:
     ]
 
 
-def serialize(maze: Maze, maze_id: str | None = None) -> MazeDescription:
+def serialize(maze: Maze) -> MazeDescription:
     """Render a maze as its canonical multi-line description."""
     rows, cols = maze.rows, maze.cols
     row_word = "row" if rows == 1 else "rows"
@@ -145,13 +143,7 @@ def serialize(maze: Maze, maze_id: str | None = None) -> MazeDescription:
     else:
         lines.append(f"  {NO_WALLS_LINE}")
     text = "\n".join(lines) + "\n"
-    return MazeDescription(text, maze_id or text_digest(text))
-
-
-def text_digest(text: str) -> str:
-    """Stable short id for a description (hash of its canonical lines)."""
-    canon = "\n".join(canonical_lines(text))
-    return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:12]
+    return MazeDescription(text)
 
 
 _SIZE_RE = re.compile(r"^- Size is (\d+) rows? by (\d+) columns?$")
@@ -241,9 +233,8 @@ def parse(text: str) -> Maze:
 
     # Every line, prose and fields alike, must equal the maze's own serialization
     # under the whitespace canon; an empty sentinel line catches a length mismatch.
-    # The explicit maze id spares serialize from hashing its text.
     maze = Maze(rows, cols, frozenset(walls), markers["^"], markers["x"])
-    expected = canonical_lines(serialize(maze, "parse").text) + [""]
+    expected = canonical_lines(serialize(maze).text) + [""]
     for (no, got), want in zip(lines + [(lines[-1][0], "")], expected):
         if got != want:
             faults.append((no, f"text deviates from template, expected {want!r}", got))
@@ -263,7 +254,7 @@ def render_ascii(maze: Maze, path: list[int] | None = None) -> str:
     path overlay (path cells are starred)."""
     overlay = set(path or ())
     for cell in overlay:
-        cell_rc(maze, cell)  # bounds check
+        check_cell(maze, cell)
     width = max(4, len(str(maze.size - 1)) + 3)
 
     def cell_label(cell: int) -> str:

@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 import json
 import time
 from collections import Counter
@@ -66,6 +67,17 @@ class TestGen:
             assert run_cli("--workdir", tmp_path, *command, *options) == 1
             assert time.perf_counter() - start < 1.0
             assert bound in capsys.readouterr().err
+        assert not (tmp_path / "c").exists()
+
+    def test_work_budget_ends_a_window_few_walls_cannot_meet(self, tmp_path, capsys, monkeypatch):
+        # The window passes the arithmetic check; unbudgeted, it ran all
+        # 100,000 attempts (about 40 s).
+        monkeypatch.setattr(importlib.import_module("mazenav.generate"), "WORK_BUDGET", 200_000)
+        start = time.perf_counter()
+        assert run_cli("--workdir", tmp_path, "gen", "--out", "c", "--rows", 30, "--cols", 30,
+                       "--wall-count", 4, "--min-path", 800, "--max-path", 900) == 1
+        assert time.perf_counter() - start < 1.0
+        assert "work budget of 200,000 cell visits" in capsys.readouterr().err
         assert not (tmp_path / "c").exists()
 
 
@@ -180,6 +192,16 @@ class TestEvalAndReport:
 
 
 class TestMockEval:
+    @pytest.mark.parametrize("options, message", [
+        (("--concurrency", 0), "concurrency must be >= 1"),
+        (("--n-test", 0), "corpus has no test mazes"),
+        (("--n-test", 2, "--n-shot", 3), "few-shot needs 6 shot mazes"),
+    ])
+    def test_refused_before_writing(self, tmp_path, capsys, options, message):
+        assert run_cli("--workdir", tmp_path, "mock-eval", "--out", "run", *options) == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     def test_small_end_to_end(self, tmp_path, capsys):
         assert run_cli("--workdir", tmp_path, "mock-eval", "--out", "run",
                        "--n-test", 4, "--n-shot", 6, "--seed", 11) == 0

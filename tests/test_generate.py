@@ -1,3 +1,4 @@
+import importlib
 import random
 import time
 
@@ -98,6 +99,43 @@ class TestGenerate:
         cfg = GenConfig(wall_count=13, min_path=1, max_path=9, seed=1, max_attempts=300)
         with pytest.raises(GenerationError):
             generate(cfg)  # every internal adjacency walled: never solvable
+
+    def test_work_budget_ends_a_window_few_walls_cannot_meet(self, monkeypatch):
+        # 4 walls cannot stretch a 30x30 crossing to 800 moves; unbudgeted,
+        # this ran all 100,000 attempts (about 40 s).
+        monkeypatch.setattr(importlib.import_module("mazenav.generate"), "WORK_BUDGET", 200_000)
+        cfg = GenConfig(rows=30, cols=30, wall_count=4, min_path=800, max_path=900)
+        errors = []
+        for _ in range(2):
+            start = time.perf_counter()
+            with pytest.raises(GenerationError, match="work budget of 200,000 cell visits") as err:
+                generate(cfg)
+            assert time.perf_counter() - start < 1.0
+            errors.append(str(err.value))
+        # 900 cells per candidate: the 223rd passes 200,000, the same one each run.
+        assert errors[0] == errors[1] and errors[0].endswith("after 223 attempts")
+
+    def test_uniqueness_check_charges_the_paths_it_listed(self, monkeypatch):
+        # On a wall-free 2x2 grid every maze in the window 2-2 has two tied
+        # optima, so none is accepted. A candidate charges its BFS 4 cells, and
+        # a uniqueness check 4 more plus the cells of the paths it listed.
+        module = importlib.import_module("mazenav.generate")
+        monkeypatch.setattr(module, "WORK_BUDGET", 200)
+        costs = []
+        bfs, listing = module.bfs_distances, module.optimal_solutions
+
+        def charged_listing(maze):
+            found = listing(maze)
+            costs.append(4 + sum(len(s.cells) for s in found))
+            return found
+
+        monkeypatch.setattr(module, "bfs_distances", lambda *a: costs.append(4) or bfs(*a))
+        monkeypatch.setattr(module, "optimal_solutions", charged_listing)
+        cfg = GenConfig(rows=2, cols=2, wall_count=0, min_path=2, max_path=2, seed=5)
+        with pytest.raises(GenerationError, match="work budget of 200 cell visits"):
+            generate(cfg)
+        assert 10 in costs  # a listing of two 3-cell paths
+        assert sum(costs[:-1]) <= 200 < sum(costs)
 
 
 class TestGenerateCorpus:

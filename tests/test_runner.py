@@ -445,6 +445,16 @@ class TestReport:
         assert lines[0] == "model,scenario,n,complete_pct,partial_pct"
         assert len(lines) == 1 + 3  # one provider x three scenarios
 
+    def test_csv_quotes_a_name_with_a_comma(self, tmp_path, small_corpus):
+        import csv
+        import dataclasses
+
+        records = self.run_mixed(tmp_path, small_corpus)
+        renamed = [dataclasses.replace(r, provider='gpt-4o, t=0 "eu"') for r in records]
+        rows = list(csv.reader(summary_csv(renamed).splitlines()))
+        assert [len(row) for row in rows] == [5] * 4
+        assert {row[0] for row in rows[1:]} == {'gpt-4o, t=0 "eu"'}
+
     def test_rows_sorted_ascending_by_few_shot(self, tmp_path, small_corpus):
         corpus_dir, corpus = small_corpus
         good = write_script(tmp_path, corpus, oracle_answers(corpus))

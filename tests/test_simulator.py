@@ -1,9 +1,9 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from mazenav.grid import Heading, Maze, Opening, Pose
+from mazenav.grid import Heading, Maze, MazeError, Opening, Pose
 from mazenav.instructions import ExitAt, Forward, StepIn, Turn
-from mazenav.simulator import FaultKind, execute, initial_heading, step
+from mazenav.simulator import Fault, FaultKind, StepOutcome, execute, initial_heading, step
 
 
 @pytest.mark.parametrize(
@@ -55,6 +55,11 @@ class TestStep:
         out = step(m0, Pose(8, Heading.N), Forward(99))
         assert out.fault.kind == FaultKind.OFF_GRID
 
+    def test_forward_from_a_pose_off_the_grid(self, m0):
+        for cell in (-1, 10):
+            with pytest.raises(MazeError, match=f"cell {cell} out of bounds"):
+                step(m0, Pose(cell, Heading.N), Forward(3))
+
     def test_multi_cell_forward(self, m0_nowall):
         out = step(m0_nowall, Pose(8, Heading.W), Forward(5))
         assert out.ok and out.pose == Pose(5, Heading.W)
@@ -90,6 +95,42 @@ class TestStep:
     def test_forward_never_turns(self, m0_nowall):
         out = step(m0_nowall, Pose(9, Heading.W), Forward(5))
         assert out.pose.heading == Heading.W
+
+
+class TestLineGrids:
+    """Forward on one-row and one-column grids, walls 2|3 and 4|5."""
+
+    @pytest.fixture(params=[(1, 7, Heading.W, Heading.E), (7, 1, Heading.N, Heading.S)],
+                    ids=["1x7", "7x1"])
+    def line(self, request):
+        rows, cols, back, ahead = request.param
+        maze = Maze(rows, cols, frozenset({(2, 3), (4, 5)}), Opening(0, back), Opening(6, ahead))
+        return maze, ahead, back
+
+    def test_forward_along_ray(self, line):
+        maze, ahead, back = line
+        assert step(maze, Pose(0, ahead), Forward(2)) == StepOutcome(pose=Pose(2, ahead))
+        assert step(maze, Pose(2, back), Forward(0)) == StepOutcome(pose=Pose(0, back))
+
+    def test_forward_past_the_edge(self, line):
+        maze, ahead, back = line
+        for pose in (Pose(1, back), Pose(1, ahead.left()), Pose(1, ahead.right())):
+            assert step(maze, pose, Forward(3)).fault == Fault(
+                FaultKind.NOT_ON_RAY,
+                f"position 3 is not straight ahead from 1 heading {pose.heading.value}")
+
+    def test_forward_to_current_cell(self, line):
+        maze, ahead, back = line
+        for heading in (ahead, back):
+            assert step(maze, Pose(3, heading), Forward(3)).fault == Fault(
+                FaultKind.NOT_ON_RAY, f"position 3 is not straight ahead from 3 heading {heading.value}")
+
+    def test_forward_through_two_walls_names_the_first(self, line):
+        maze, ahead, back = line
+        assert step(maze, Pose(1, ahead), Forward(6)).fault == Fault(
+            FaultKind.WALL_BLOCKED, "wall between 2 and 3")
+        assert step(maze, Pose(6, back), Forward(0)).fault == Fault(
+            FaultKind.WALL_BLOCKED, "wall between 5 and 4")
 
 
 class TestExecute:

@@ -13,7 +13,6 @@ from mazenav.textform import (
     parse,
     render_ascii,
     serialize,
-    text_digest,
 )
 
 from .conftest import FIXTURES
@@ -39,12 +38,6 @@ class TestSerialize:
 
     def test_byte_stable(self, m0):
         assert serialize(m0).text == serialize(m0).text
-
-    def test_digest_stable(self, m0):
-        assert serialize(m0).maze_id == text_digest(serialize(m0).text)
-
-    def test_explicit_id(self, m0):
-        assert serialize(m0, "test-007").maze_id == "test-007"
 
     def test_no_walls_sentence(self, m0_nowall):
         text = serialize(m0_nowall).text

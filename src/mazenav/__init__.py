@@ -7,7 +7,7 @@ Complete/Partial Path Accuracy.
 """
 
 from .generate import GenConfig, generate, generate_corpus
-from .grid import Heading, Maze, MazeError, Opening, Pose, neighbors, passable, rotate
+from .grid import Heading, Maze, MazeError, Opening, Pose, rotate
 from .instructions import (
     ExitAt,
     Forward,
@@ -49,12 +49,10 @@ __all__ = [
     "generate",
     "generate_corpus",
     "initial_heading",
-    "neighbors",
     "optimal_solutions",
     "parse",
     "parse_line",
     "parse_response",
-    "passable",
     "render_ascii",
     "rotate",
     "score_run",

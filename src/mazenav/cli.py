@@ -17,12 +17,10 @@ from pathlib import Path
 from .corpus import CorpusError, build_corpus, load_corpus
 from .gateway import DEFAULT_SCENARIOS, GatewayError, ProviderConfig
 from .generate import GenConfig, GenerationError, generate
-from .grid import MazeError
 from .instructions import parse_response, render_sequence
 from .runner import (
     RECORDS_NAME,
     ExperimentSpec,
-    SpecError,
     check_corpus_size,
     load_records,
     load_spec,
@@ -33,20 +31,12 @@ from .runner import (
 )
 from .scoring import MODES, MODE_ORACLE, score_run
 from .simulator import execute
-from .solver import UnsolvableMazeError, reference_solution, solution_text
-from .textform import MalformedDescription, load_description, render_ascii, serialize
+from .solver import reference_solution, solution_text
+from .textform import load_description, render_ascii, serialize
 
-_ERRORS = (
-    MazeError,
-    MalformedDescription,
-    CorpusError,
-    GenerationError,
-    UnsolvableMazeError,
-    SpecError,
-    GatewayError,
-    FileNotFoundError,
-    ValueError,
-)
+# MazeError, MalformedDescription, CorpusError, UnsolvableMazeError and
+# SpecError all subclass ValueError.
+_ERRORS = (ValueError, GenerationError, GatewayError, FileNotFoundError)
 
 
 def _gen_config(args) -> GenConfig:
@@ -77,6 +67,9 @@ def _add_gen_options(p: argparse.ArgumentParser) -> None:
 
 def cmd_gen(args) -> int:
     cfg = _gen_config(args)
+    if args.n_test < 1:
+        raise CorpusError(f"corpus has no test mazes (--n-test {args.n_test}); "
+                          "eval and mock-eval need at least 1")
     corpus = build_corpus(args.workdir / args.out, cfg, args.n_test, args.n_shot)
     print(f"wrote {len(corpus.tests)} test + {len(corpus.shots)} shot mazes "
           f"to {args.workdir / args.out}")

@@ -8,10 +8,11 @@ the outer boundary: a cell plus the compass side that faces off-grid.
 This module is the one place that knows the geometry: the clockwise heading
 order (CLOCKWISE) and the one step rule, steps(rows, cols), cached per
 shape: the cell one step ahead of each cell in each heading, or None off
-the grid. The neighbours of every cell (open_adjacency, and adjacency, its
-walled view for one maze), the openings, the wall slots the generator
-samples from (internal_adjacencies), the simulator's rays and the solver's
-move headings all read that table.
+the grid. The neighbours of every cell (open_adjacency), the openings, the
+wall slots the generator samples from (internal_adjacencies), the
+simulator's rays and the solver's move headings all read that table.
+adjacency(maze) is the one walled-neighbour query: the passable neighbours
+of every cell, which the BFS, the solver and the generator read.
 """
 
 from __future__ import annotations
@@ -121,24 +122,6 @@ def check_cell(maze: Maze, cell: int) -> None:
     """Raise MazeError unless ``cell`` lies on the maze's grid."""
     if not 0 <= cell < maze.size:
         raise MazeError(f"cell {cell} out of bounds for {maze.rows}x{maze.cols} grid")
-
-
-def adjacent(maze: Maze, a: int, b: int) -> bool:
-    check_cell(maze, a)
-    check_cell(maze, b)
-    return b in open_adjacency(maze.rows, maze.cols)[a]
-
-
-def passable(maze: Maze, a: int, b: int) -> bool:
-    """True iff a and b are orthogonal neighbors with no wall between them."""
-    return adjacent(maze, a, b) and (min(a, b), max(a, b)) not in maze.walls
-
-
-def neighbors(maze: Maze, cell: int) -> list[int]:
-    """In-bounds orthogonal neighbors reachable from ``cell``, ascending."""
-    check_cell(maze, cell)
-    return [n for n in open_adjacency(maze.rows, maze.cols)[cell]
-            if (min(cell, n), max(cell, n)) not in maze.walls]
 
 
 @lru_cache(maxsize=8)

@@ -76,7 +76,6 @@ REASON_AMBIGUOUS_DIRECTION = "ambiguous direction"
 REASON_EXTRA_CONTENT = "unrecognized instruction form"
 
 _ENUM_MARKER = re.compile(r"^(?:step\s+\d+\s*[:.)\-]\s*|\d+\s*[.):\-]\s*|[-*•]\s+)", re.I)
-_TRAILING_PUNCT = re.compile(r"[\s.!,;:]+$")
 
 _STEP_IN = re.compile(r"(?:^|\b)steps?\s+into\s+position\s+(\d+)$", re.I)
 _TURN = re.compile(r"^turn(?:\s+to\s+(?:my|your|the))?\s+(left|right)$", re.I)
@@ -93,8 +92,9 @@ def normalize_line(line: str) -> str:
     """Strip enumeration markers, trailing punctuation, and extra whitespace."""
     s = " ".join(line.split())
     s = _ENUM_MARKER.sub("", s)
-    s = _TRAILING_PUNCT.sub("", s)
-    return s.strip()
+    # The join leaves spaces as the only whitespace, and rstrip takes linear
+    # time where a regex anchored at $ backtracks quadratically.
+    return s.rstrip(" .!,;:")
 
 
 def parse_line(line: str) -> Instruction:
@@ -102,15 +102,14 @@ def parse_line(line: str) -> Instruction:
     s = normalize_line(line)
     if not s:
         raise UnparseableLine(line, REASON_NO_VERB)
-    m = _STEP_IN.search(s)
-    if m:
-        return StepIn(int(m.group(1)))
-    m = _EXIT.match(s)
-    if m:
-        return ExitAt(int(m.group(1)))
-    m = _FORWARD.match(s)
-    if m:
-        return Forward(int(m.group(1)))
+    for pattern, kind in ((_STEP_IN.search, StepIn), (_EXIT.match, ExitAt),
+                          (_FORWARD.match, Forward)):
+        m = pattern(s)
+        if m:
+            try:
+                return kind(int(m.group(1)))
+            except ValueError:  # more digits than int() converts (4,300 by default)
+                raise UnparseableLine(line, REASON_EXTRA_CONTENT) from None
     m = _TURN.match(s)
     if m:
         return Turn(m.group(1).lower())

@@ -3,7 +3,11 @@
 The description is the wire format embedded in prompts, so serialization is
 deterministic and byte-stable; tests/fixtures/golden_description.txt holds
 the worked 2x5 maze. "^" marks the entrance opening and "x" the exit, on the
-boundary line above or below the zone grid or beside a grid row.
+boundary line above or below the zone grid or beside a grid row. Both
+writers, ``serialize`` and ``render_ascii``, look the two markers up in one
+{(cell, side): mark} dict built per call. The geometry comes from grid: a
+wall pair is checked against open_adjacency, and grid.adjacency is the one
+walled-neighbour query.
 
 ``serialize`` is the only template. ``parse`` extracts just the variable
 fields (size, topology markers, ENTRANCE/EXIT statements, wall pairs), builds
@@ -78,30 +82,28 @@ def _numbering_phrase(rows: int, cols: int) -> str:
     return ", ".join(segments[:-1]) + " and " + segments[-1]
 
 
-def _marker(maze: Maze, cell: int, side: Heading) -> str | None:
-    if maze.entrance == Opening(cell, side):
-        return "^"
-    if maze.exit == Opening(cell, side):
-        return "x"
-    return None
+def _marks(maze: Maze) -> dict[tuple[int, Heading], str]:
+    """The boundary markers, keyed by (cell, side): "^" at the entrance, "x"
+    at the exit."""
+    return {(maze.entrance.cell, maze.entrance.side): "^", (maze.exit.cell, maze.exit.side): "x"}
 
 
 def _topology_lines(maze: Maze) -> list[str]:
     rows, cols = maze.rows, maze.cols
-    west = any(o.side == Heading.W for o in (maze.entrance, maze.exit))
-    east = any(o.side == Heading.E for o in (maze.entrance, maze.exit))
+    marks = _marks(maze)
+    gutters = any(side in (Heading.W, Heading.E) for _, side in marks)
 
     grid_tokens: list[list[str]] = []
-    top = [_marker(maze, c, Heading.N) or "--" for c in range(cols)]
-    bottom = [_marker(maze, (rows - 1) * cols + c, Heading.S) or "--" for c in range(cols)]
-    grid_tokens.append([""] + top + [""] if west or east else top)
+    top = [marks.get((c, Heading.N), "--") for c in range(cols)]
+    bottom = [marks.get(((rows - 1) * cols + c, Heading.S), "--") for c in range(cols)]
+    grid_tokens.append([""] + top + [""] if gutters else top)
     for r in range(rows):
         row = [str(r * cols + c) for c in range(cols)]
-        if west or east:
-            row = [_marker(maze, r * cols, Heading.W) or ""] + row
-            row = row + [_marker(maze, r * cols + cols - 1, Heading.E) or ""]
+        if gutters:
+            row = ([marks.get((r * cols, Heading.W), "")] + row
+                   + [marks.get((r * cols + cols - 1, Heading.E), "")])
         grid_tokens.append(row)
-    grid_tokens.append([""] + bottom + [""] if west or east else bottom)
+    grid_tokens.append([""] + bottom + [""] if gutters else bottom)
 
     widths = [max(len(line[i]) for line in grid_tokens) for i in range(len(grid_tokens[0]))]
     return [
@@ -256,13 +258,14 @@ def render_ascii(maze: Maze, path: list[int] | None = None) -> str:
     for cell in overlay:
         check_cell(maze, cell)
     width = max(4, len(str(maze.size - 1)) + 3)
+    marks = _marks(maze)
 
     def cell_label(cell: int) -> str:
         label = str(cell) + ("*" if cell in overlay else "")
         return f"{label:^{width}}"
 
     def boundary_gap(cell: int, side: Heading) -> str:
-        mark = _marker(maze, cell, side)
+        mark = marks.get((cell, side))
         return f"{mark:^{width}}" if mark else "-" * width
 
     lines = []
@@ -280,8 +283,8 @@ def render_ascii(maze: Maze, path: list[int] | None = None) -> str:
         if r == maze.rows:
             break
         row_cells = [r * maze.cols + c for c in range(maze.cols)]
-        west = _marker(maze, row_cells[0], Heading.W) or "|"
-        east = _marker(maze, row_cells[-1], Heading.E) or "|"
+        west = marks.get((row_cells[0], Heading.W), "|")
+        east = marks.get((row_cells[-1], Heading.E), "|")
         body = ""
         for c, cell in enumerate(row_cells):
             body += cell_label(cell)

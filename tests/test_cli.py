@@ -54,6 +54,14 @@ class TestGen:
         assert "cells" in capsys.readouterr().err
         assert not (tmp_path / "c").exists()
 
+    def test_no_test_mazes_rejected(self, tmp_path, capsys):
+        # eval and mock-eval refuse such a corpus, so gen does not write it.
+        assert run_cli("--workdir", tmp_path, "gen", "--out", "empty",
+                       "--n-test", 0, "--n-shot", 0) == 1
+        err = capsys.readouterr().err
+        assert "corpus has no test mazes" in err and "--n-test" in err
+        assert not (tmp_path / "empty").exists()
+
     @pytest.mark.parametrize("options, bound", [
         (("--rows", 10, "--cols", 10), "max_path must be >= 9"),
         (("--rows", 30, "--cols", 30), "max_path must be >= 29"),

@@ -1,8 +1,12 @@
+import re
+import time
+
 import pytest
 from hypothesis import given, strategies as st
 
 from mazenav.instructions import (
     REASON_AMBIGUOUS_DIRECTION,
+    REASON_EXTRA_CONTENT,
     REASON_NO_POSITION,
     REASON_NO_VERB,
     ExitAt,
@@ -10,9 +14,11 @@ from mazenav.instructions import (
     StepIn,
     Turn,
     UnparseableLine,
+    _ENUM_MARKER,
     canonical_render,
     instruction_from_dict,
     instruction_to_dict,
+    normalize_line,
     parse_line,
     parse_response,
     render_sequence,
@@ -59,12 +65,40 @@ def test_parse_line(line, expected):
         ("Turn around", REASON_AMBIGUOUS_DIRECTION),
         ("Turn", REASON_AMBIGUOUS_DIRECTION),
         ("Turn left or right", REASON_AMBIGUOUS_DIRECTION),
+        # More digits than int() converts (4,300 by default).
+        pytest.param("Walk forward to position " + "7" * 5000, REASON_EXTRA_CONTENT,
+                     id="over-long-position"),
     ],
 )
 def test_parse_line_failures(line, reason):
     with pytest.raises(UnparseableLine) as info:
         parse_line(line)
     assert info.value.reason == reason
+
+
+_OLD_TRAILING_PUNCT = re.compile(r"[\s.!,;:]+$")
+
+
+def old_normalize_line(line: str) -> str:
+    """Reference: normalize_line with trailing punctuation stripped by a regex."""
+    s = " ".join(line.split())
+    s = _ENUM_MARKER.sub("", s)
+    s = _OLD_TRAILING_PUNCT.sub("", s)
+    return s.strip()
+
+
+@given(st.text(st.sampled_from(" \t\n\r\x0b\x0c\xa0\u2003.!,;:-*)stepSTEPab0189")))
+def test_normalize_line_matches_the_trailing_regex(line):
+    assert normalize_line(line) == old_normalize_line(line)
+
+
+def test_long_punctuation_run_parses_in_linear_time():
+    # The regex backtracked quadratically here: 7.6 s for this 32,001-character line.
+    line = ". " * 16000 + "x"
+    started = time.perf_counter()
+    parsed = parse_response(line)
+    assert time.perf_counter() - started < 1.0
+    assert parsed.rejected_lines[0].reason == REASON_NO_VERB
 
 
 def test_compound_line_rejected():

@@ -18,6 +18,7 @@ from mazenav.runner import (
     load_spec,
     report_text,
     run,
+    run_records,
     shots_for,
     summaries_from,
     summary_csv,
@@ -114,6 +115,21 @@ class TestRun:
         (summary,) = summaries
         assert summary.n == 4
         assert summary.complete_pct == pytest.approx(25.0)
+
+    def test_over_long_position_is_rejected_not_raised(self, tmp_path, small_corpus):
+        # int() refuses the 5,000-digit target; the run once raised after writing nothing.
+        corpus_dir, corpus = small_corpus
+        answers = oracle_answers(corpus)
+        first_id = corpus.tests[0][0]
+        long_line = "Walk forward to position " + "7" * 5000
+        answers[first_id] = answers[first_id] + "\n" + long_line
+        spec = make_spec(tmp_path, corpus_dir, write_script(tmp_path, corpus, answers),
+                         scenarios=[Scenario("zero-shot", 0)])
+        records = run_records(spec, clock=lambda: 0.0)
+        assert len(records) == 4
+        assert len(load_records(spec.output_dir / RECORDS_NAME)) == 4
+        (record,) = [r for r in records if r.maze_id == first_id]
+        assert record.rejected[-1][1:] == [long_line, "unrecognized instruction form"]
 
     def test_concurrency_matches_serial(self, tmp_path, small_corpus):
         corpus_dir, corpus = small_corpus

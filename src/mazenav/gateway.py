@@ -372,13 +372,24 @@ def _extract(body: dict, started: float, attempts: int) -> Completion:
         text = body["choices"][0]["message"]["content"]
     except (KeyError, IndexError, TypeError):
         raise MalformedResponse("response has no message content")
-    if text is None:
-        raise MalformedResponse("response content is null")
-    usage = body.get("usage") or {}
+    if not isinstance(text, str):
+        raise MalformedResponse(f"response content is {type(text).__name__}, not text")
+    usage = body.get("usage")
+    if not isinstance(usage, dict):
+        usage = {}
     return Completion(
         text=text,
-        tokens_in=int(usage.get("prompt_tokens", 0)),
-        tokens_out=int(usage.get("completion_tokens", 0)),
+        tokens_in=_token_count(usage.get("prompt_tokens")),
+        tokens_out=_token_count(usage.get("completion_tokens")),
         latency_ms=(time.perf_counter() - started) * 1000.0,
         attempts=attempts,
     )
+
+
+def _token_count(value) -> int:
+    """A usage count; 0 when it is missing or unreadable, since the reply
+    itself was paid for and is still scored."""
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError):
+        return 0

@@ -5,12 +5,14 @@ directory. Trials whose key (provider, model, scenario, maze, repeat) is
 already present are skipped, so interrupted runs resume and finished runs
 are idempotent. Before it resumes, a run recomputes the prompt hash of each
 loaded record of its providers and scenarios and refuses a log that holds
-one made from another prompt or for a maze the corpus lacks. Workers only
-do pure scoring plus the gateway call; records are written by the
-submitting thread in planning order, which keeps the log byte-stable
-regardless of scheduling. A trial that raises anything but a
-GatewayError, or an interrupt, cancels the trials still queued and
-propagates; the records written before it stay.
+one made from another prompt or for a maze the corpus lacks. Every prompt
+is built before the first provider call. Worker threads make only the
+provider calls; the submitting thread parses, executes and scores each
+reply and writes its record, in planning order, which keeps the log
+byte-stable regardless of scheduling. A trial that raises anything but a
+GatewayError, a missing or rejected credential (AuthError), or an
+interrupt cancels the calls still queued and propagates; the records
+written before it stay.
 
 The summaries, report.txt and summary.csv all render from one tally: a
 single walk over the records that groups their scores in the report's mode
@@ -30,7 +32,7 @@ import json
 import os
 import time
 from collections import Counter, defaultdict
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -38,6 +40,8 @@ from . import gateway
 from .corpus import load_corpus
 from .gateway import (
     DEFAULT_SCENARIOS,
+    AuthError,
+    ChatMessage,
     GatewayError,
     PromptCache,
     ProviderConfig,
@@ -104,13 +108,23 @@ def load_spec(path) -> ExperimentSpec:
             providers=providers,
             scenarios=scenarios,
             scoring_mode=data.get("scoring_mode", MODE_ORACLE),
-            concurrency=int(data.get("concurrency", 1)),
+            concurrency=_typed(data, "concurrency", int, 1),
             experiment_id=data.get("experiment_id", path.stem),
-            repeats=int(data.get("repeats", 1)),
-            lenient_exit=bool(data.get("lenient_exit", False)),
+            repeats=_typed(data, "repeats", int, 1),
+            lenient_exit=_typed(data, "lenient_exit", bool, False),
         )
     except (KeyError, TypeError, ValueError) as err:
         raise SpecError(f"invalid spec {path}: {err}")
+
+
+def _typed(data: dict, name: str, kind: type, default):
+    """A spec field that must hold a JSON value of ``kind``: no conversion, so
+    "false" is not read as true, 2.9 as 2, or true as 1."""
+    value = data.get(name, default)
+    if type(value) is not kind:  # not isinstance: true would pass as an int
+        raise SpecError(f"{name} must be a JSON {'boolean' if kind is bool else 'integer'}, "
+                        f"got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -228,18 +242,20 @@ def _run_trial(
     scenario: Scenario,
     maze_id: str,
     maze: Maze,
-    shots: list[tuple[Maze, Solution]],
+    messages: list[ChatMessage],
     reference: Solution,
     repeat: int,
+    call: Future,
     clock,
-    prompts: PromptCache,
 ) -> RunRecord:
-    messages = build_messages(maze, shots, scenario, cache=prompts)
-    digest = prompt_hash(messages)
+    """Wait for the trial's provider call, then parse, execute and score its
+    reply into the record. A failed call scores 0 in every mode and stays in
+    n; a missing or rejected credential stops the run instead."""
     try:
-        completion = gateway.complete(provider, messages, trial_key=f"{maze_id}|{scenario.name}")
+        completion = call.result()
+    except AuthError:
+        raise
     except GatewayError as err:
-        # A failed call scores 0 in every mode and stays in n.
         completion = gateway.Completion("", 0, 0, 0.0, 0)
         instructions, rejected = [], []
         fault = FaultKind.PROVIDER_ERROR.value
@@ -266,7 +282,7 @@ def _run_trial(
         scenario=scenario.name,
         maze_id=maze_id,
         repeat=repeat,
-        prompt_hash=digest,
+        prompt_hash=prompt_hash(messages),
         response=completion.text,
         instructions=instructions,
         rejected=rejected,
@@ -323,15 +339,17 @@ def run_records(spec: ExperimentSpec, *, clock=time.time) -> list[RunRecord]:
     _check_resumed(spec, records, dict(corpus.tests), scenario_shots, prompts, log_path)
     existing = {record.key() for record in records}
 
+    # Every prompt is built here, before the first provider call is paid for.
     planned = [
-        (provider, scenario, maze_id, maze, repeat)
+        (provider, scenario, maze_id, maze, repeat,
+         build_messages(maze, scenario_shots[scenario.name], scenario, cache=prompts))
         for provider in spec.providers
         for scenario in spec.scenarios
         for maze_id, maze in corpus.tests
         for repeat in range(spec.repeats)
         if (provider.name, provider.model, scenario.name, maze_id, repeat) not in existing
     ]
-    needed = {maze_id for _, _, maze_id, _, _ in planned}
+    needed = {trial[2] for trial in planned}
     references = {
         maze_id: reference_solution(maze) for maze_id, maze in corpus.tests if maze_id in needed
     }
@@ -340,31 +358,22 @@ def run_records(spec: ExperimentSpec, *, clock=time.time) -> list[RunRecord]:
     with open(log_path, "a", encoding="utf-8") as log, ThreadPoolExecutor(
         max_workers=spec.concurrency
     ) as pool:
-        futures = [
-            pool.submit(
-                _run_trial,
-                spec,
-                provider,
-                scenario,
-                maze_id,
-                maze,
-                scenario_shots[scenario.name],
-                references[maze_id],
-                repeat,
-                clock,
-                prompts,
-            )
-            for provider, scenario, maze_id, maze, repeat in planned
+        # Workers make only the provider call; this thread does the rest.
+        calls = [
+            pool.submit(gateway.complete, provider, messages,
+                        trial_key=f"{maze_id}|{scenario.name}")
+            for provider, scenario, maze_id, _, _, messages in planned
         ]
         try:
-            for future in futures:
-                record = future.result()
+            for (provider, scenario, maze_id, maze, repeat, messages), call in zip(planned, calls):
+                record = _run_trial(spec, provider, scenario, maze_id, maze, messages,
+                                    references[maze_id], repeat, call, clock)
                 log.write(record.to_json_line() + "\n")
                 log.flush()
                 records.append(record)
         except BaseException:
             # Spend no more provider calls on a run that has failed; leaving
-            # the block still waits for the trials already running.
+            # the block still waits for the calls already running.
             pool.shutdown(wait=False, cancel_futures=True)
             raise
     return records

@@ -286,9 +286,27 @@ class TestComplete:
 
     def test_malformed_response(self, monkeypatch, m0):
         monkeypatch.setenv("PROV_KEY", "k")
-        transport = ScriptedTransport([(200, {"choices": []})])
-        with pytest.raises(MalformedResponse):
-            complete(http_cfg(), build_messages(m0, [], ZERO_SHOT), transport=transport)
+        for body in (
+            {"choices": []},
+            # Content parts, as some OpenAI-compatible servers send them, and a number.
+            {"choices": [{"message": {"content": [{"type": "text", "text": "Turn left"}]}}]},
+            {"choices": [{"message": {"content": 7}}]},
+        ):
+            transport = ScriptedTransport([(200, body)])
+            with pytest.raises(MalformedResponse):
+                complete(http_cfg(), build_messages(m0, [], ZERO_SHOT), transport=transport)
+
+    @pytest.mark.parametrize("usage", [
+        {"prompt_tokens": None, "completion_tokens": None},
+        {"prompt_tokens": "many", "completion_tokens": [3]},
+        None,
+        [11, 3],
+    ])
+    def test_unreadable_usage_counts_zero(self, monkeypatch, m0, usage):
+        monkeypatch.setenv("PROV_KEY", "k")
+        transport = ScriptedTransport([(200, {**ok_body("Turn left"), "usage": usage})])
+        out = complete(http_cfg(), build_messages(m0, [], ZERO_SHOT), transport=transport)
+        assert (out.text, out.tokens_in, out.tokens_out) == ("Turn left", 0, 0)
 
     def test_unexpected_status_no_retry(self, monkeypatch, m0):
         monkeypatch.setenv("PROV_KEY", "k")

@@ -1,12 +1,14 @@
 import json
+import threading
 import time
+from collections import defaultdict
 from pathlib import Path
 
 import pytest
 
 from mazenav import gateway, runner
 from mazenav.corpus import build_corpus
-from mazenav.gateway import DEFAULT_SCENARIOS, ProviderConfig, Scenario
+from mazenav.gateway import DEFAULT_SCENARIOS, AuthError, ProviderConfig, Scenario, build_messages
 from mazenav.generate import GenConfig
 from mazenav.runner import (
     RECORDS_NAME,
@@ -143,6 +145,80 @@ class TestRun:
             tmp_path / "t" / RECORDS_NAME
         ).read_bytes()
 
+    @pytest.mark.parametrize("concurrency", [1, 4])
+    def test_only_the_provider_call_runs_on_a_worker(
+        self, tmp_path, small_corpus, monkeypatch, concurrency
+    ):
+        corpus_dir, corpus = small_corpus
+        endpoint = write_script(tmp_path, corpus, oracle_answers(corpus))
+        spec = make_spec(tmp_path, corpus_dir, endpoint, concurrency=concurrency)
+        threads = defaultdict(list)
+
+        def on_thread(name, fn):
+            def recorded(*args, **kwargs):
+                threads[name].append(threading.get_ident())
+                return fn(*args, **kwargs)
+            return recorded
+
+        monkeypatch.setattr(gateway, "complete", on_thread("complete", gateway.complete))
+        for name in ("parse_response", "score_run", "prompt_hash"):
+            monkeypatch.setattr(runner, name, on_thread(name, getattr(runner, name)))
+        run_records(spec, clock=lambda: 0.0)
+        here, trials = threading.get_ident(), 3 * 4
+        assert len(threads["complete"]) == trials and here not in threads["complete"]
+        assert threads["parse_response"] == threads["prompt_hash"] == [here] * trials
+        assert threads["score_run"] == [here] * 2 * trials  # one score per mode
+
+    def test_prompt_error_raises_before_any_call(self, tmp_path, small_corpus, monkeypatch):
+        corpus_dir, corpus = small_corpus
+        endpoint = write_script(tmp_path, corpus, oracle_answers(corpus))
+        spec = make_spec(tmp_path, corpus_dir, endpoint, concurrency=4)
+        built, calls = [], []
+        real_build = runner.build_messages
+
+        def build(*args, **kwargs):
+            built.append(1)
+            if len(built) == 5:
+                raise ValueError("injected")
+            return real_build(*args, **kwargs)
+
+        monkeypatch.setattr(runner, "build_messages", build)
+        monkeypatch.setattr(gateway, "complete", lambda *args, **kw: calls.append(args))
+        with pytest.raises(ValueError, match="injected"):
+            run_records(spec, clock=lambda: 0.0)
+        assert calls == []
+        assert _load_records(spec.output_dir / RECORDS_NAME) == []
+
+    def test_malformed_reply_is_a_provider_error(self, tmp_path, small_corpus, monkeypatch):
+        # The call was paid for, so content parts that are not text must be
+        # recorded, not crash the run in parse_response.
+        corpus_dir, corpus = small_corpus
+        answers = oracle_answers(corpus)
+        first_id = corpus.tests[0][0]
+        zero_shot = Scenario("zero-shot", 0)
+        maze_of = {build_messages(maze, [], zero_shot)[-1].content: maze_id
+                   for maze_id, maze in corpus.tests}
+
+        def transport(url, headers, payload, timeout):
+            maze_id = maze_of[payload["messages"][-1]["content"]]
+            content = answers[maze_id]
+            if maze_id == first_id:
+                content = [{"type": "text", "text": content}]
+            return 200, {"choices": [{"message": {"content": content}}]}
+
+        monkeypatch.setattr(gateway, "_http_transport", transport)
+        spec = make_spec(tmp_path, corpus_dir, "http://127.0.0.1:9/v1/chat/completions",
+                         scenarios=[zero_shot], concurrency=2)
+        records = run_records(spec, clock=lambda: 0.0)
+        assert len(records) == len(load_records(spec.output_dir / RECORDS_NAME)) == 4
+        for record in records:
+            score = record.score(MODE_ORACLE)
+            if record.maze_id == first_id:
+                assert score.first_fault == (0, FaultKind.PROVIDER_ERROR.value)
+                assert "list" in record.trace["fault"]["detail"]
+            else:
+                assert score.complete
+
     def test_prompt_hash_recomputable(self, tmp_path, small_corpus):
         from mazenav.gateway import build_messages, prompt_hash
         from mazenav.runner import shots_for
@@ -269,6 +345,45 @@ class TestFailFast:
         full = log_path.read_text(encoding="utf-8")
         assert full.startswith(kept)
         assert len(full.splitlines()) == planned
+
+
+class TestCredentials:
+    """A missing or rejected credential stops the run instead of recording
+    zeros that a resume would keep; queued calls are cancelled."""
+
+    def http_run(self, tmp_path, monkeypatch, transport, n_test, concurrency):
+        corpus_dir = tmp_path / "corpus"
+        build_corpus(corpus_dir, GenConfig(seed=31), n_test, 6)
+        monkeypatch.setattr(gateway, "_http_transport", transport)
+        provider = ProviderConfig(name="live", model="live-1",
+                                  endpoint="http://127.0.0.1:9/v1/chat/completions",
+                                  credential_env="MAZENAV_TEST_KEY")
+        spec = make_spec(tmp_path, corpus_dir, provider.endpoint, providers=[provider],
+                         concurrency=concurrency)
+        with pytest.raises(AuthError, match="MAZENAV_TEST_KEY|http 401"):
+            run_records(spec, clock=lambda: 0.0)
+        assert _load_records(spec.output_dir / RECORDS_NAME) == []
+        return 3 * n_test
+
+    def test_unset_variable(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("MAZENAV_TEST_KEY", raising=False)
+        calls = []
+        self.http_run(tmp_path, monkeypatch, lambda *args: calls.append(args), 2, 2)
+        assert calls == []
+
+    @pytest.mark.parametrize("concurrency", [1, 4])
+    def test_rejected_credential(self, tmp_path, monkeypatch, concurrency):
+        monkeypatch.setenv("MAZENAV_TEST_KEY", "revoked")
+        calls = []
+
+        def transport(*args):
+            calls.append(args)
+            time.sleep(0.001)  # a provider round-trip, short
+            return 401, {}
+
+        planned = self.http_run(tmp_path, monkeypatch, transport, 34, concurrency)
+        assert planned == 102
+        assert len(calls) < planned // 2
 
 
 class TestRunSummaries:
@@ -546,6 +661,9 @@ class TestSpecLoading:
             {"providers": [provider, {**provider, "model": "bad"}]},
             {"scenarios": [{"name": "one-shot", "k": 1}, {"name": "one-shot", "k": 1}]},
             {"scenarios": [{"name": "one-shot", "k": 1}, {"name": "one-shot", "k": 2}]},
+            {"lenient_exit": "false"},
+            {"concurrency": 2.9},
+            {"repeats": True},
         ):
             payload = {
                 "corpus": str(corpus_dir),

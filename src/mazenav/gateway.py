@@ -11,8 +11,10 @@ same as without it.
 HTTP goes through the standard library (``urllib.request``), imported on
 the first request: proxies come from ``HTTP(S)_PROXY``, read at that first
 request, and ``NO_PROXY``; TLS is verified against the system CA store; and
-a redirect of the POST is not followed but returned as its status. The rate cap and the retry policy
-apply to every attempt.
+a redirect of the POST is not followed but returned as its status, which
+``complete`` raises as RequestRejected, as it does any 4xx but 401/403
+(AuthError), 408 and 429 (retried). The rate cap and the retry policy apply
+to every attempt.
 
 Endpoints starting with ``mock:`` are served from a JSON script file mapping
 "<maze_id>|<scenario>" keys to response text; "*" is the fallback key. Mock
@@ -88,6 +90,21 @@ class MalformedResponse(GatewayError):
     """HTTP 200 without extractable message content."""
 
 
+class RequestRejected(GatewayError):
+    """A 3xx or 4xx reply that every later request would get too (a wrong
+    model, path or payload); never retried."""
+
+
+def _check_types(obj, kind: str, types, *fields: str) -> None:
+    """Each named field must already hold one of ``types``: no conversion, so
+    "0.2" is not read as a number, and true is refused as a number or an
+    integer."""
+    for name in fields:
+        value = getattr(obj, name)
+        if isinstance(value, bool) or not isinstance(value, types):
+            raise ValueError(f"{name} must be {kind}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ChatMessage:
     role: str  # system | user | assistant
@@ -106,6 +123,8 @@ class Scenario:
     k: int  # number of solved example mazes shown before the test maze
 
     def __post_init__(self) -> None:
+        _check_types(self, "a string", str, "name")
+        _check_types(self, "an integer", int, "k")
         if self.k < 0:
             raise ValueError("k must be non-negative")
 
@@ -129,6 +148,11 @@ class ProviderConfig:
     rate_per_s: float | None = None
 
     def __post_init__(self) -> None:
+        _check_types(self, "a string", str, "name", "model", "endpoint")
+        _check_types(self, "a string or null", (str, type(None)), "credential_env")
+        _check_types(self, "a number", (int, float), "temperature", "timeout_s")
+        _check_types(self, "a number or null", (int, float, type(None)), "rate_per_s")
+        _check_types(self, "an integer", int, "max_output_tokens", "max_retries")
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
         if self.timeout_s <= 0:
@@ -305,6 +329,9 @@ def _mock_complete(cfg: ProviderConfig, messages, trial_key: str | None) -> Comp
     return Completion(text, tokens_in, len(text.split()), 0.0, 1)
 
 
+_EXCERPT = 200  # characters of a refusing reply's body kept in its error
+
+
 def complete(
     cfg: ProviderConfig,
     messages: list[ChatMessage],
@@ -316,9 +343,11 @@ def complete(
 ) -> Completion:
     """One stateless chat-completion request with retry on transient failures.
 
-    Rate-limit (429) and 5xx/network errors back off exponentially with
-    jitter up to cfg.max_retries retries; auth failures never retry. Every
-    attempt first reserves a slot under cfg.rate_per_s.
+    Rate-limit (429), request-timeout (408), 5xx and network errors back off
+    exponentially with jitter up to cfg.max_retries retries. Auth failures
+    (401, 403) and the other 3xx and 4xx replies, which every later request
+    would get too, raise AuthError or RequestRejected at once. Every attempt
+    first reserves a slot under cfg.rate_per_s.
     """
     if cfg.endpoint.startswith("mock:"):
         return _mock_complete(cfg, messages, trial_key)
@@ -351,8 +380,13 @@ def complete(
                 raise AuthError(f"provider rejected credentials (http {status})")
             if status == 429:
                 retryable = "rate limited (http 429)"
+            elif status == 408:
+                retryable = "request timeout (http 408)"
             elif 500 <= status < 600:
                 retryable = f"server error (http {status})"
+            elif 300 <= status < 500:
+                excerpt = json.dumps(body)[:_EXCERPT]
+                raise RequestRejected(f"provider rejected the request (http {status}): {excerpt}")
             elif status != 200:
                 raise GatewayError(f"unexpected http status {status}")
             else:

@@ -3,25 +3,27 @@
 Every trial appends one JSON record line to records.jsonl in the output
 directory. Trials whose key (provider, model, scenario, maze, repeat) is
 already present are skipped, so interrupted runs resume and finished runs
-are idempotent. Before it resumes, a run recomputes the prompt hash of each
-loaded record of its providers and scenarios and refuses a log that holds
-one made from another prompt or for a maze the corpus lacks. Every prompt
-is built before the first provider call. Worker threads make only the
+are idempotent. Before the first provider call, a run builds and hashes the
+prompt of each scenario and test maze once, whatever the providers and
+repeats, into one table that the resume check, the calls and the records
+read. The resume check looks up each loaded record of the run's providers
+and scenarios there and refuses a log that holds one made from another
+prompt or for a maze the corpus lacks. Worker threads make only the
 provider calls; the submitting thread parses, executes and scores each
 reply and writes its record, in planning order, which keeps the log
-byte-stable regardless of scheduling. A trial that raises anything but a
-GatewayError, a missing or rejected credential (AuthError), or an
-interrupt cancels the calls still queued and propagates; the records
-written before it stay.
+byte-stable regardless of scheduling. A missing or rejected credential
+(AuthError), a request the provider refuses (RequestRejected), any other
+exception but a GatewayError, or an interrupt cancels the calls still
+queued and propagates; the records written before it stay.
 
-The summaries, report.txt and summary.csv all render from one tally: a
-single walk over the records that groups their scores in the report's mode
-and counts execution-mode first faults per provider.
-
-``run_records`` runs the trials and returns every record of the log, the
-loaded ones and the new ones. ``run()`` returns their summaries, and the
-CLI's eval and mock-eval write their reports from the same records, so the
-log is read once per run.
+The log is read once per run: the read reports where its whole lines end,
+and the handle that appends cuts a torn last line or ends an unterminated
+one. ``run_records`` returns every record of the log, the loaded ones and
+the new ones; ``run()`` returns their summaries, and the CLI's eval and
+mock-eval write their reports from the same records. The summaries,
+report.txt and summary.csv all render from one tally: a single walk over
+the records that groups their scores in the report's mode and counts
+execution-mode first faults per provider.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import os
 import time
 from collections import Counter, defaultdict
 from concurrent.futures import Future, ThreadPoolExecutor
@@ -41,10 +42,10 @@ from .corpus import load_corpus
 from .gateway import (
     DEFAULT_SCENARIOS,
     AuthError,
-    ChatMessage,
     GatewayError,
     PromptCache,
     ProviderConfig,
+    RequestRejected,
     Scenario,
     build_messages,
     prompt_hash,
@@ -190,47 +191,30 @@ def check_corpus_size(spec: ExperimentSpec, n_test: int, n_shot: int) -> None:
         shots_for(scenario, [None] * n_shot)
 
 
-def _load_records(path: Path) -> list[RunRecord]:
+def _load_records(path: Path) -> tuple[list[RunRecord], int, bool]:
+    """The records of the log, the byte offset where its whole lines end, and
+    whether the last of them lacks its newline. A last line that a crash tore
+    mid-write is skipped, so its trial reruns; only run_records edits the
+    file, through the handle it appends with."""
     if not path.exists():
-        return []
+        return [], 0, False
+    raw = path.read_bytes()
+    lines = raw.split(b"\n")
     records = []
-    raw = path.read_text(encoding="utf-8")
-    lines = raw.split("\n")
     for i, line in enumerate(lines):
         if not line:
             continue
         try:
-            records.append(RunRecord.from_json_line(line))
+            records.append(RunRecord.from_json_line(line.decode("utf-8")))
         except (ValueError, TypeError) as err:
             if i == len(lines) - 1:
-                # Torn tail from a crash mid-write: skip it, the trial reruns.
-                # Only run() edits the file, in _end_on_newline.
-                break
+                return records, len(raw) - len(line), False
             raise SpecError(f"corrupt record log {path} at line {i + 1}: {err}")
-    return records
-
-
-def _end_on_newline(path: Path) -> None:
-    """Before run() appends: a last line without its newline gets one when it
-    holds a whole record, and is cut when a crash tore it (loading skipped it)."""
-    with open(path, "a+b") as log:
-        end = log.seek(0, os.SEEK_END)
-        log.seek(max(end - 1, 0))
-        if log.read(1) in (b"", b"\n"):
-            return
-        log.seek(0)
-        raw = log.read()
-        start = raw.rfind(b"\n") + 1
-        try:
-            RunRecord.from_json_line(raw[start:].decode("utf-8"))
-        except (ValueError, TypeError):
-            log.truncate(start)
-        else:
-            log.write(b"\n")
+    return records, len(raw), bool(lines[-1])
 
 
 def load_records(path) -> list[RunRecord]:
-    records = _load_records(Path(path))
+    records = _load_records(Path(path))[0]
     if not records:
         raise SpecError(f"no records in {path}")
     return records
@@ -242,18 +226,19 @@ def _run_trial(
     scenario: Scenario,
     maze_id: str,
     maze: Maze,
-    messages: list[ChatMessage],
+    digest: str,
     reference: Solution,
     repeat: int,
     call: Future,
     clock,
 ) -> RunRecord:
     """Wait for the trial's provider call, then parse, execute and score its
-    reply into the record. A failed call scores 0 in every mode and stays in
-    n; a missing or rejected credential stops the run instead."""
+    reply into the record; ``digest`` is the prompt's hash. A failed call
+    scores 0 in every mode and stays in n; a missing or rejected credential,
+    or a request the provider refuses, stops the run instead."""
     try:
         completion = call.result()
-    except AuthError:
+    except (AuthError, RequestRejected):
         raise
     except GatewayError as err:
         completion = gateway.Completion("", 0, 0, 0.0, 0)
@@ -282,7 +267,7 @@ def _run_trial(
         scenario=scenario.name,
         maze_id=maze_id,
         repeat=repeat,
-        prompt_hash=prompt_hash(messages),
+        prompt_hash=digest,
         response=completion.text,
         instructions=instructions,
         rejected=rejected,
@@ -297,21 +282,20 @@ def _run_trial(
     )
 
 
-def _check_resumed(spec, records, tests, scenario_shots, prompts, log_path) -> None:
+def _check_resumed(spec, records, prompts, log_path) -> None:
     """Refuse to resume a log whose records of this spec's providers and
     scenarios were made from other prompts: another corpus, shots or system
-    prompt. Records of other providers or scenarios are left as they are."""
+    prompt. ``prompts`` maps (scenario, maze_id) to the run's (messages,
+    hash). Records of other providers or scenarios are left as they are."""
     providers = {(p.name, p.model) for p in spec.providers}
-    scenarios = {sc.name: sc for sc in spec.scenarios}
+    scenarios = {sc.name for sc in spec.scenarios}
     for record in records:
-        scenario = scenarios.get(record.scenario)
-        if scenario is None or (record.provider, record.model) not in providers:
+        if record.scenario not in scenarios or (record.provider, record.model) not in providers:
             continue
-        maze = tests.get(record.maze_id)
-        if maze is None:
+        prompt = prompts.get((record.scenario, record.maze_id))
+        if prompt is None:
             problem = f"is for maze {record.maze_id!r}, which the corpus does not hold"
-        elif prompt_hash(build_messages(maze, scenario_shots[scenario.name], scenario,
-                                        cache=prompts)) != record.prompt_hash:
+        elif prompt[1] != record.prompt_hash:
             problem = "was made from another prompt"
         else:
             continue
@@ -330,19 +314,22 @@ def run_records(spec: ExperimentSpec, *, clock=time.time) -> list[RunRecord]:
     corpus = load_corpus(spec.corpus_dir)
     check_corpus_size(spec, len(corpus.tests), len(corpus.shots))
     shot_solutions = [(maze, reference_solution(maze)) for _, maze in corpus.shots]
-    scenario_shots = {sc.name: shots_for(sc, shot_solutions) for sc in spec.scenarios}
+    # Every prompt is built and hashed here, once per scenario and test maze,
+    # before the first provider call is paid for.
+    cache, prompts = PromptCache(), {}
+    for scenario in spec.scenarios:
+        shots = shots_for(scenario, shot_solutions)
+        for maze_id, maze in corpus.tests:
+            messages = build_messages(maze, shots, scenario, cache=cache)
+            prompts[scenario.name, maze_id] = messages, prompt_hash(messages)
 
     spec.output_dir.mkdir(parents=True, exist_ok=True)
     log_path = spec.output_dir / RECORDS_NAME
-    records = _load_records(log_path)
-    prompts = PromptCache()
-    _check_resumed(spec, records, dict(corpus.tests), scenario_shots, prompts, log_path)
+    records, whole, unterminated = _load_records(log_path)
+    _check_resumed(spec, records, prompts, log_path)
     existing = {record.key() for record in records}
-
-    # Every prompt is built here, before the first provider call is paid for.
     planned = [
-        (provider, scenario, maze_id, maze, repeat,
-         build_messages(maze, scenario_shots[scenario.name], scenario, cache=prompts))
+        (provider, scenario, maze_id, maze, repeat)
         for provider in spec.providers
         for scenario in spec.scenarios
         for maze_id, maze in corpus.tests
@@ -354,20 +341,26 @@ def run_records(spec: ExperimentSpec, *, clock=time.time) -> list[RunRecord]:
         maze_id: reference_solution(maze) for maze_id, maze in corpus.tests if maze_id in needed
     }
 
-    _end_on_newline(log_path)
     with open(log_path, "a", encoding="utf-8") as log, ThreadPoolExecutor(
         max_workers=spec.concurrency
     ) as pool:
+        # The log ends where its whole lines end: a torn last line is cut, and
+        # a whole one without its newline gets it.
+        if unterminated:
+            log.write("\n")
+        elif log.tell() > whole:
+            log.truncate(whole)
         # Workers make only the provider call; this thread does the rest.
         calls = [
-            pool.submit(gateway.complete, provider, messages,
+            pool.submit(gateway.complete, provider, prompts[scenario.name, maze_id][0],
                         trial_key=f"{maze_id}|{scenario.name}")
-            for provider, scenario, maze_id, _, _, messages in planned
+            for provider, scenario, maze_id, _, _ in planned
         ]
         try:
-            for (provider, scenario, maze_id, maze, repeat, messages), call in zip(planned, calls):
-                record = _run_trial(spec, provider, scenario, maze_id, maze, messages,
-                                    references[maze_id], repeat, call, clock)
+            for (provider, scenario, maze_id, maze, repeat), call in zip(planned, calls):
+                record = _run_trial(spec, provider, scenario, maze_id, maze,
+                                    prompts[scenario.name, maze_id][1], references[maze_id],
+                                    repeat, call, clock)
                 log.write(record.to_json_line() + "\n")
                 log.flush()
                 records.append(record)

@@ -199,6 +199,23 @@ class TestEvalAndReport:
         assert not (tmp_path / "out").exists()
 
 
+    @pytest.mark.parametrize("section, entry, field", [
+        ("providers", {"temperature": "0.2"}, "temperature"),
+        ("scenarios", {"name": "one-shot", "k": 1.5}, "k"),
+    ])
+    def test_field_type_refused(self, tmp_path, capsys, section, entry, field):
+        self.build_experiment(tmp_path)
+        spec = json.loads((tmp_path / "exp.json").read_text(encoding="utf-8"))
+        if section == "providers":
+            spec["providers"][0].update(entry)
+        else:
+            spec["scenarios"] = [entry]
+        (tmp_path / "exp.json").write_text(json.dumps(spec), encoding="utf-8")
+        assert run_cli("--workdir", tmp_path, "eval", "--spec", "exp.json") == 1
+        assert f"{field} must be" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
 class TestMockEval:
     @pytest.mark.parametrize("options, message", [
         (("--concurrency", 0), "concurrency must be >= 1"),

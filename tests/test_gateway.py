@@ -23,6 +23,7 @@ from mazenav.gateway import (
     MalformedResponse,
     ProviderConfig,
     RateLimitExhausted,
+    RequestRejected,
     Scenario,
     TransportFailure,
     _TokenBucket,
@@ -316,6 +317,23 @@ class TestComplete:
         assert len(transport.calls) == 1
 
 
+    @pytest.mark.parametrize("status", [301, 302, 400, 404, 422])
+    def test_rejected_request_no_retry(self, monkeypatch, m0, status):
+        monkeypatch.setenv("PROV_KEY", "k")
+        transport = ScriptedTransport([(status, {"error": {"message": "no " + "such " * 500}})])
+        with pytest.raises(RequestRejected, match=f"http {status}.*no such") as info:
+            complete(http_cfg(), build_messages(m0, [], ZERO_SHOT), transport=transport)
+        assert len(transport.calls) == 1
+        assert len(str(info.value)) < 300  # a bounded excerpt of the body
+
+    def test_request_timeout_retried(self, monkeypatch, m0):
+        monkeypatch.setenv("PROV_KEY", "k")
+        transport = ScriptedTransport([(408, {}), (200, ok_body("late"))])
+        out = complete(http_cfg(), build_messages(m0, [], ZERO_SHOT), transport=transport,
+                       sleeper=lambda _s: None)
+        assert (out.text, out.attempts) == ("late", 2)
+
+
 class TestMockProvider:
     def make_cfg(self, tmp_path, script) -> ProviderConfig:
         path = tmp_path / "script.json"
@@ -364,6 +382,30 @@ def test_scenario_defaults():
     assert [s.k for s in DEFAULT_SCENARIOS] == [0, 1, 5]
     with pytest.raises(ValueError):
         Scenario("bad", -1)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("name", None), ("k", 1.5), ("k", "1"), ("k", True),
+])
+def test_scenario_field_types(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be"):
+        Scenario(**{"name": "one-shot", "k": 1, field: value})
+
+
+@pytest.mark.parametrize("field, value", [
+    ("name", 7), ("model", None), ("endpoint", b"mock:x"), ("credential_env", 1),
+    ("temperature", "0.2"), ("temperature", True), ("max_output_tokens", "2048"),
+    ("max_output_tokens", 2048.0), ("timeout_s", "60"), ("max_retries", 1.0),
+    ("max_retries", False), ("rate_per_s", "2"), ("rate_per_s", True),
+])
+def test_provider_field_types(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be"):
+        http_cfg(**{field: value})
+
+
+def test_provider_numbers_accept_ints_and_floats():
+    cfg = http_cfg(temperature=1, timeout_s=2.5, rate_per_s=3, credential_env=None)
+    assert request_payload(cfg, [ChatMessage("user", "hi")])["temperature"] == 1
 
 
 def test_chat_message_validation():
@@ -439,12 +481,19 @@ class TestHttpTransport:
         error = {"error": {"message": "no such model"}}
         server.replies["/missing"] = [(404, json.dumps(error).encode(), 0.0)]
         assert _http_transport(self.url(server, "/missing"), {}, {}, 5.0) == (404, error)
+        cfg = ProviderConfig(name="local", model="m", endpoint=self.url(server, "/missing"))
+        with pytest.raises(RequestRejected, match="http 404.*no such model"):
+            complete(cfg, [ChatMessage("user", "hi")])
 
     def test_redirect_not_followed(self, server):
         server.replies["/moved"] = [(302, b"{}", 0.0)]
         server.replies["/ok"] = [(200, json.dumps(ok_body()).encode(), 0.0)]
         assert _http_transport(self.url(server, "/moved"), {}, {}, 5.0) == (302, {})
         assert [path for path, _, _ in server.requests] == ["/moved"]
+        cfg = ProviderConfig(name="local", model="m", endpoint=self.url(server, "/moved"))
+        with pytest.raises(RequestRejected, match="http 302"):
+            complete(cfg, [ChatMessage("user", "hi")], sleeper=lambda _s: None)
+        assert [path for path, _, _ in server.requests] == ["/moved", "/moved"]
 
     def test_500_retried_by_complete(self, server):
         server.replies["/flaky"] = [

@@ -8,7 +8,14 @@ import pytest
 
 from mazenav import gateway, runner
 from mazenav.corpus import build_corpus
-from mazenav.gateway import DEFAULT_SCENARIOS, AuthError, ProviderConfig, Scenario, build_messages
+from mazenav.gateway import (
+    DEFAULT_SCENARIOS,
+    AuthError,
+    ProviderConfig,
+    RequestRejected,
+    Scenario,
+    build_messages,
+)
 from mazenav.generate import GenConfig
 from mazenav.runner import (
     RECORDS_NAME,
@@ -187,7 +194,7 @@ class TestRun:
         with pytest.raises(ValueError, match="injected"):
             run_records(spec, clock=lambda: 0.0)
         assert calls == []
-        assert _load_records(spec.output_dir / RECORDS_NAME) == []
+        assert _load_records(spec.output_dir / RECORDS_NAME)[0] == []
 
     def test_malformed_reply_is_a_provider_error(self, tmp_path, small_corpus, monkeypatch):
         # The call was paid for, so content parts that are not text must be
@@ -218,6 +225,34 @@ class TestRun:
                 assert "list" in record.trace["fault"]["detail"]
             else:
                 assert score.complete
+
+    def test_each_prompt_built_and_hashed_once(self, tmp_path, small_corpus, monkeypatch):
+        corpus_dir, corpus = small_corpus
+        endpoint = write_script(tmp_path, corpus, oracle_answers(corpus))
+        spec = make_spec(tmp_path, corpus_dir, endpoint, repeats=2, providers=[
+            ProviderConfig(name=name, model=f"{name}-v1", endpoint=endpoint)
+            for name in ("mock-a", "mock-b")])
+        counts = defaultdict(int)
+        for name in ("build_messages", "prompt_hash"):
+            real = getattr(runner, name)
+
+            def counted(*args, _real=real, _name=name, **kw):
+                counts[_name] += 1
+                return _real(*args, **kw)
+
+            monkeypatch.setattr(runner, name, counted)
+        scenarios_x_mazes = len(DEFAULT_SCENARIOS) * len(corpus.tests)
+        run(spec, clock=lambda: 0.0)
+        assert counts == {"build_messages": scenarios_x_mazes, "prompt_hash": scenarios_x_mazes}
+        # A resume builds no more: its check looks the records up.
+        log_path = spec.output_dir / RECORDS_NAME
+        lines = log_path.read_text(encoding="utf-8").splitlines(keepends=True)
+        assert len(lines) == 2 * 2 * scenarios_x_mazes
+        log_path.write_text("".join(lines[: len(lines) // 2]), encoding="utf-8")
+        counts.clear()
+        run(spec, clock=lambda: 0.0)
+        assert counts == {"build_messages": scenarios_x_mazes, "prompt_hash": scenarios_x_mazes}
+        assert log_path.read_text(encoding="utf-8") == "".join(lines)
 
     def test_prompt_hash_recomputable(self, tmp_path, small_corpus):
         from mazenav.gateway import build_messages, prompt_hash
@@ -281,6 +316,14 @@ class TestResumeIntegrity:
         self.assert_refused(spec, log_path, monkeypatch,
                             r"'test-002', 0\) .* is for maze 'test-002', which the corpus "
                             r"does not hold; use a fresh output directory")
+
+    def test_stale_record_behind_a_torn_tail(self, tmp_path, small_corpus, monkeypatch):
+        corpus_dir, corpus = small_corpus
+        spec, log_path = self.cut_run(tmp_path, corpus_dir, corpus)
+        with open(log_path, "a", encoding="utf-8") as log:
+            log.write('{"torn')
+        build_corpus(corpus_dir, GenConfig(seed=32), 4, 6)
+        self.assert_refused(spec, log_path, monkeypatch, "was made from another prompt")
 
     def test_system_prompt_edited(self, tmp_path, small_corpus, monkeypatch):
         corpus_dir, corpus = small_corpus
@@ -348,10 +391,12 @@ class TestFailFast:
 
 
 class TestCredentials:
-    """A missing or rejected credential stops the run instead of recording
-    zeros that a resume would keep; queued calls are cancelled."""
+    """A missing or rejected credential, or a request the provider refuses,
+    stops the run instead of recording zeros that a resume would keep;
+    queued calls are cancelled."""
 
-    def http_run(self, tmp_path, monkeypatch, transport, n_test, concurrency):
+    def http_run(self, tmp_path, monkeypatch, transport, n_test, concurrency,
+                 error=AuthError, match="MAZENAV_TEST_KEY|http 401"):
         corpus_dir = tmp_path / "corpus"
         build_corpus(corpus_dir, GenConfig(seed=31), n_test, 6)
         monkeypatch.setattr(gateway, "_http_transport", transport)
@@ -360,9 +405,9 @@ class TestCredentials:
                                   credential_env="MAZENAV_TEST_KEY")
         spec = make_spec(tmp_path, corpus_dir, provider.endpoint, providers=[provider],
                          concurrency=concurrency)
-        with pytest.raises(AuthError, match="MAZENAV_TEST_KEY|http 401"):
+        with pytest.raises(error, match=match):
             run_records(spec, clock=lambda: 0.0)
-        assert _load_records(spec.output_dir / RECORDS_NAME) == []
+        assert _load_records(spec.output_dir / RECORDS_NAME)[0] == []
         return 3 * n_test
 
     def test_unset_variable(self, tmp_path, monkeypatch):
@@ -382,6 +427,21 @@ class TestCredentials:
             return 401, {}
 
         planned = self.http_run(tmp_path, monkeypatch, transport, 34, concurrency)
+        assert planned == 102
+        assert len(calls) < planned // 2
+
+    @pytest.mark.parametrize("status", [400, 404])
+    def test_rejected_request(self, tmp_path, monkeypatch, status):
+        monkeypatch.setenv("MAZENAV_TEST_KEY", "valid")
+        calls = []
+
+        def transport(*args):
+            calls.append(args)
+            time.sleep(0.001)  # a provider round-trip, short
+            return status, {"error": {"message": "model 'live-1' does not exist"}}
+
+        planned = self.http_run(tmp_path, monkeypatch, transport, 34, 4, RequestRejected,
+                                f"http {status}.*model 'live-1' does not exist")
         assert planned == 102
         assert len(calls) < planned // 2
 
@@ -413,6 +473,16 @@ class TestRunSummaries:
         )
         run(spec, clock=lambda: 0.0)
         assert len(lines) == 3 * 4
+        # A last record without its newline is parsed once too, and the
+        # resume ends its line through the handle it appends with.
+        log_path = spec.output_dir / RECORDS_NAME
+        full = log_path.read_text(encoding="utf-8")
+        kept = full.splitlines()[:5]
+        log_path.write_text("\n".join(kept), encoding="utf-8")
+        lines.clear()
+        run(spec, clock=lambda: 0.0)
+        assert lines == kept
+        assert log_path.read_text(encoding="utf-8") == full
 
 
 class TestRecordLine:
@@ -664,6 +734,9 @@ class TestSpecLoading:
             {"lenient_exit": "false"},
             {"concurrency": 2.9},
             {"repeats": True},
+            {"providers": [{**provider, "temperature": "0.2"}]},
+            {"providers": [{**provider, "max_output_tokens": "2048"}]},
+            {"scenarios": [{"name": "one-shot", "k": 1.5}]},
         ):
             payload = {
                 "corpus": str(corpus_dir),
@@ -675,6 +748,26 @@ class TestSpecLoading:
             spec_file.write_text(json.dumps(payload), encoding="utf-8")
             with pytest.raises(SpecError):
                 load_spec(spec_file)
+
+
+    @pytest.mark.parametrize("entry, field", [
+        ({"providers": [{"name": "m", "model": "m1", "endpoint": "mock:x.json",
+                         "temperature": "0.2"}]}, "temperature"),
+        ({"providers": [{"name": "m", "model": "m1", "endpoint": "mock:x.json",
+                         "timeout_s": True}]}, "timeout_s"),
+        ({"providers": [{"name": "m", "model": 1, "endpoint": "mock:x.json"}]}, "model"),
+        ({"scenarios": [{"name": "one-shot", "k": 1.5}]}, "k"),
+        ({"scenarios": [{"name": 1, "k": 1}]}, "name"),
+    ])
+    def test_field_types_checked(self, tmp_path, small_corpus, entry, field):
+        corpus_dir, _ = small_corpus
+        spec_file = tmp_path / "exp.json"
+        spec_file.write_text(json.dumps({
+            "corpus": str(corpus_dir), "output": "out",
+            "providers": [{"name": "m", "model": "m1", "endpoint": "mock:x.json"}], **entry,
+        }), encoding="utf-8")
+        with pytest.raises(SpecError, match=f"{field} must be"):
+            load_spec(spec_file)
 
 
 def test_repeats_dimension(tmp_path, small_corpus):

@@ -20,7 +20,7 @@ from .instructions import (
 )
 from .scoring import MetricsSummary, RunScore, score_run, summarize
 from .simulator import ExecutionTrace, Fault, FaultKind, execute, initial_heading, step
-from .solver import Solution, optimal_solutions, shortest_cell_paths
+from .solver import Solution, optimal_solutions
 from .textform import MazeDescription, parse, render_ascii, serialize
 
 __version__ = "0.1.0"
@@ -57,7 +57,6 @@ __all__ = [
     "rotate",
     "score_run",
     "serialize",
-    "shortest_cell_paths",
     "step",
     "summarize",
 ]

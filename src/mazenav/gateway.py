@@ -26,6 +26,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+import math
 import os
 import random
 import threading
@@ -98,10 +99,10 @@ class RequestRejected(GatewayError):
 def _check_types(obj, kind: str, types, *fields: str) -> None:
     """Each named field must already hold one of ``types``: no conversion, so
     "0.2" is not read as a number, and true is refused as a number or an
-    integer."""
+    integer; only ``types`` bool itself takes true and false."""
     for name in fields:
         value = getattr(obj, name)
-        if isinstance(value, bool) or not isinstance(value, types):
+        if (isinstance(value, bool) and types is not bool) or not isinstance(value, types):
             raise ValueError(f"{name} must be {kind}, got {value!r}")
 
 
@@ -153,11 +154,16 @@ class ProviderConfig:
         _check_types(self, "a number", (int, float), "temperature", "timeout_s")
         _check_types(self, "a number or null", (int, float, type(None)), "rate_per_s")
         _check_types(self, "an integer", int, "max_output_tokens", "max_retries")
+        # json.loads reads the literals NaN and Infinity as floats.
+        for name in ("temperature", "timeout_s", "rate_per_s"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
         if self.timeout_s <= 0:
             raise ValueError("timeout_s must be positive")
-        if self.rate_per_s is not None and not self.rate_per_s > 0:  # rejects NaN as well
+        if self.rate_per_s is not None and self.rate_per_s <= 0:
             raise ValueError("rate_per_s must be positive (omit it for no cap)")
 
 
@@ -288,9 +294,9 @@ def _opener():
 
 
 def _http_transport(url: str, headers: dict, payload: dict, timeout: float):
-    """POST ``payload`` as JSON; (status, parsed body, or {} if not JSON).
-    Any status, error statuses included, is returned; network failures and
-    timeouts raise TransportFailure."""
+    """POST ``payload`` as JSON; (status, parsed body, or its decoded text if
+    it is not JSON). Any status, error statuses included, is returned;
+    network failures and timeouts raise TransportFailure."""
     import http.client
     import urllib.error
     import urllib.request
@@ -308,10 +314,9 @@ def _http_transport(url: str, headers: dict, payload: dict, timeout: float):
         # URLError and socket timeouts are OSErrors.
         raise TransportFailure(str(err)) from err
     try:
-        body = json.loads(raw)
+        return status, json.loads(raw)
     except ValueError:
-        body = {}
-    return status, body
+        return status, raw.decode("utf-8", errors="replace")
 
 
 def _mock_complete(cfg: ProviderConfig, messages, trial_key: str | None) -> Completion:
@@ -385,7 +390,7 @@ def complete(
             elif 500 <= status < 600:
                 retryable = f"server error (http {status})"
             elif 300 <= status < 500:
-                excerpt = json.dumps(body)[:_EXCERPT]
+                excerpt = (body if isinstance(body, str) else json.dumps(body))[:_EXCERPT]
                 raise RequestRejected(f"provider rejected the request (http {status}): {excerpt}")
             elif status != 200:
                 raise GatewayError(f"unexpected http status {status}")

@@ -9,15 +9,16 @@ instruction solution is unique so that step-level scoring is unambiguous.
 Each generate call has a deterministic work budget, WORK_BUDGET, counted in
 cell visits: every candidate charges its grid's cell count for its BFS, and
 every uniqueness check the exit BFS of the solver (the cell count again)
-plus the cells of each optimal path it listed. A window that passes
-GenConfig's arithmetic but that so few walls cannot meet then fails with
-GenerationError after about a minute, whatever the grid size.
+plus the cells of the at most two optimal paths it draws. A window that
+passes GenConfig's arithmetic but that so few walls cannot meet then fails
+with GenerationError after about a minute, whatever the grid size.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import islice
 
 from .grid import Heading, Maze, MazeError, Opening, boundary_openings, internal_adjacencies
 from .solver import bfs_distances, optimal_solutions
@@ -111,7 +112,7 @@ def _candidate(cfg: GenConfig, rng: random.Random, adjacencies: tuple) -> tuple[
     if dist is None or not cfg.min_path <= dist <= cfg.max_path:
         return None, cells
     if cfg.require_unique_optimal:
-        solutions = optimal_solutions(maze)
+        solutions = list(islice(optimal_solutions(maze), 2))  # a tie needs only two
         if len(solutions) != 1:
             return None, 2 * cells + sum(len(s.cells) for s in solutions)
     return maze, cells

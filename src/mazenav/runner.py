@@ -47,13 +47,14 @@ from .gateway import (
     ProviderConfig,
     RequestRejected,
     Scenario,
+    _check_types,
     build_messages,
     prompt_hash,
 )
 from .grid import Maze
 from .instructions import instruction_to_dict, parse_response
 from .scoring import MODES, MODE_EXECUTION, MODE_ORACLE, MetricsSummary, RunScore, score_run, summarize
-from .simulator import FaultKind, execute
+from .simulator import ExecutionTrace, Fault, FaultKind, execute
 from .solver import Solution, reference_solution
 
 RECORDS_NAME = "records.jsonl"
@@ -79,6 +80,9 @@ class ExperimentSpec:
     def __post_init__(self) -> None:
         if not self.providers:
             raise SpecError("at least one provider is required")
+        _check_types(self, "a string", str, "scoring_mode", "experiment_id")
+        _check_types(self, "an integer", int, "concurrency", "repeats")
+        _check_types(self, "a boolean", bool, "lenient_exit")
         if self.scoring_mode not in MODES:
             raise SpecError(f"scoring_mode must be one of {MODES}")
         if self.concurrency < 1:
@@ -93,39 +97,29 @@ class ExperimentSpec:
 
 
 def load_spec(path) -> ExperimentSpec:
-    """Read the declarative experiment config (JSON)."""
+    """Read the declarative experiment config (JSON). Keys other than the
+    corpus, output, providers and scenarios go to ExperimentSpec as they are,
+    so it holds the defaults and checks the types, and an unknown key is
+    refused; the experiment id defaults to the file's stem."""
     path = Path(path)
     try:
         data = json.loads(path.read_text(encoding="utf-8"))
     except (OSError, ValueError) as err:
         raise SpecError(f"cannot read spec {path}: {err}")
     try:
-        providers = [ProviderConfig(**p) for p in data["providers"]]
-        scenarios = [Scenario(**s) for s in data.get("scenarios", [])] or list(DEFAULT_SCENARIOS)
+        rest = {"experiment_id": path.stem, **data}
+        providers = [ProviderConfig(**p) for p in rest.pop("providers")]
+        scenarios = [Scenario(**s) for s in rest.pop("scenarios", [])] or list(DEFAULT_SCENARIOS)
         base = path.parent
         return ExperimentSpec(
-            corpus_dir=(base / data["corpus"]).resolve(),
-            output_dir=(base / data["output"]).resolve(),
+            corpus_dir=(base / rest.pop("corpus")).resolve(),
+            output_dir=(base / rest.pop("output")).resolve(),
             providers=providers,
             scenarios=scenarios,
-            scoring_mode=data.get("scoring_mode", MODE_ORACLE),
-            concurrency=_typed(data, "concurrency", int, 1),
-            experiment_id=data.get("experiment_id", path.stem),
-            repeats=_typed(data, "repeats", int, 1),
-            lenient_exit=_typed(data, "lenient_exit", bool, False),
+            **rest,
         )
     except (KeyError, TypeError, ValueError) as err:
         raise SpecError(f"invalid spec {path}: {err}")
-
-
-def _typed(data: dict, name: str, kind: type, default):
-    """A spec field that must hold a JSON value of ``kind``: no conversion, so
-    "false" is not read as true, 2.9 as 2, or true as 1."""
-    value = data.get(name, default)
-    if type(value) is not kind:  # not isinstance: true would pass as an int
-        raise SpecError(f"{name} must be a JSON {'boolean' if kind is bool else 'integer'}, "
-                        f"got {value!r}")
-    return value
 
 
 @dataclass(frozen=True)
@@ -243,9 +237,9 @@ def _run_trial(
     except GatewayError as err:
         completion = gateway.Completion("", 0, 0, 0.0, 0)
         instructions, rejected = [], []
-        fault = FaultKind.PROVIDER_ERROR.value
-        trace = {"poses": [], "failed_at": 0, "fault": {"kind": fault, "detail": str(err)}}
-        scores = {mode: RunScore(False, 0.0, (0, fault), mode).to_dict() for mode in MODES}
+        fault = FaultKind.PROVIDER_ERROR
+        trace = ExecutionTrace((), 0, Fault(fault, str(err))).to_dict()
+        scores = {mode: RunScore(False, 0.0, (0, fault.value), mode).to_dict() for mode in MODES}
     else:
         parsed = parse_response(completion.text)
         usable, _ = parsed.scored_prefix()

@@ -20,16 +20,18 @@ equal instructions, so turns that differ by k mean changes that differ by
 the initial heading to the exit side fixes the parity of the turns, so a
 nonzero k is at least 2 and 2k exceeds the range 0 to 3 of those turns.
 
-Both walkers share one move rule, _optimal_moves: from a (cell, heading)
-state, the successors whose move keeps the instruction count optimal.
-optimal_solutions follows every such move and sorts what it finds;
-reference_solution takes the first one from each state, so it lists and
-sorts nothing. _solution is the only emitter: it turns the headings of an
-optimal path's moves into instructions.
+One lazy depth-first walk, _paths, meets the optimal paths in cell path
+order, which is therefore the solutions' order: it follows _optimal_moves,
+the successors of a (cell, heading) state whose move keeps the instruction
+count optimal, smallest cell first. reference_solution draws its first
+path and the generator's uniqueness check at most two, so nothing is
+listed or sorted. _solution is the only emitter: it turns the headings of
+an optimal path's moves into instructions.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .grid import CLOCKWISE, Maze, adjacency, check_cell, steps
@@ -95,24 +97,24 @@ def _successors(maze: Maze) -> dict[int, list[int]]:
     raise UnsolvableMazeError(f"no path from {start} to {goal}")
 
 
-def _paths(start, moves) -> list[list]:
+def _paths(start, moves) -> Iterator[list]:
     """Every walk from state ``start`` to a state without next states, where
-    ``moves(state)`` lists the next states, as lists of states. An explicit
-    stack keeps long paths off the call stack."""
-    paths = []
+    ``moves(state)`` lists the next states in ascending order, as lists of
+    states, in ascending order: next states are pushed in reverse, so the
+    smallest is popped first. An explicit stack keeps long paths off the
+    call stack."""
     stack = [(start, None)]  # (state, node of the path before it)
     while stack:
         state, before = stack.pop()
         node = (state, before)
         if nxt := moves(state):
-            stack.extend((s, node) for s in nxt)
+            stack.extend((s, node) for s in reversed(nxt))
         else:
             path = []
             while node:
                 path.append(node[0])
                 node = node[1]
-            paths.append(path[::-1])
-    return paths
+            yield path[::-1]
 
 
 def shortest_cell_paths(maze: Maze) -> list[list[int]]:
@@ -121,11 +123,11 @@ def shortest_cell_paths(maze: Maze) -> list[list[int]]:
     There are exponentially many on open grids (184,756 on an 11x11 one), so
     the reference solution does not use this list.
     """
-    return sorted(_paths(maze.entrance.cell, _successors(maze).__getitem__))
+    return list(_paths(maze.entrance.cell, _successors(maze).__getitem__))
 
 
 def _optimal_moves(maze: Maze):
-    """The move rule of both walkers: a function from a state (cell, heading
+    """The move rule of the walk: a function from a state (cell, heading
     index of the last move; 4 at the entrance, before the first move) to its
     next states on an optimal solution, in ascending cell order.
 
@@ -184,23 +186,18 @@ def _solution(maze: Maze, path: list[tuple]) -> Solution:
     return Solution(cells, tuple(instrs), sum(type(i) is Turn for i in instrs))
 
 
-def optimal_solutions(maze: Maze) -> list[Solution]:
-    """All minimal-instruction solutions over the shortest cell paths,
-    sorted by (turn count, lexicographic cell path)."""
+def optimal_solutions(maze: Maze) -> Iterator[Solution]:
+    """All minimal-instruction solutions over the shortest cell paths, in
+    (turn count, lexicographic cell path) order. The BFS and cost-to-go run
+    at the call, so an unsolvable maze raises there; each solution is walked
+    when it is drawn."""
     moves = _optimal_moves(maze)
-    solutions = [_solution(maze, path) for path in _paths((maze.entrance.cell, 4), moves)]
-    return sorted(solutions, key=lambda s: (s.turn_count, s.cells))
+    return (_solution(maze, path) for path in _paths((maze.entrance.cell, 4), moves))
 
 
 def reference_solution(maze: Maze) -> Solution:
-    """The first of optimal_solutions, found by one walk from the entrance
-    that takes the first optimal move of each state, so nothing is listed
-    or sorted."""
-    moves = _optimal_moves(maze)
-    path = [(maze.entrance.cell, 4)]
-    while nxt := moves(path[-1]):
-        path.append(nxt[0])
-    return _solution(maze, path)
+    """The first of optimal_solutions."""
+    return _solution(maze, next(_paths((maze.entrance.cell, 4), _optimal_moves(maze))))
 
 
 def solution_text(maze: Maze) -> str:

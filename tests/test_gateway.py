@@ -507,9 +507,15 @@ class TestHttpTransport:
 
     def test_non_json_200_is_malformed(self, server):
         server.replies["/html"] = [(200, b"<html>busy</html>", 0.0)]
-        assert _http_transport(self.url(server, "/html"), {}, {}, 5.0) == (200, {})
+        assert _http_transport(self.url(server, "/html"), {}, {}, 5.0) == (200, "<html>busy</html>")
         cfg = ProviderConfig(name="local", model="m", endpoint=self.url(server, "/html"))
         with pytest.raises(MalformedResponse):
+            complete(cfg, [ChatMessage("user", "hi")])
+
+    def test_non_json_error_page_kept_in_the_error(self, server):
+        server.replies["/missing"] = [(404, b"<html>no such route</html>", 0.0)]
+        cfg = ProviderConfig(name="local", model="m", endpoint=self.url(server, "/missing"))
+        with pytest.raises(RequestRejected, match=r"\(http 404\): <html>no such route</html>$"):
             complete(cfg, [ChatMessage("user", "hi")])
 
     def test_closed_port_is_transport_failure(self):

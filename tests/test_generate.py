@@ -7,7 +7,7 @@ import pytest
 from mazenav import corpus
 from mazenav.corpus import CorpusError, build_corpus, load_corpus, save_corpus
 from mazenav.generate import GenConfig, GenerationError, generate, generate_corpus
-from mazenav.solver import bfs_distances, optimal_solutions
+from mazenav.solver import bfs_distances, optimal_solutions, reference_solution
 
 from .reference_impl import bf_distance
 
@@ -61,7 +61,7 @@ class TestGenConfig:
 class TestGenerate:
     def test_seeded_maze_is_solvable_and_unique(self):
         maze = generate(GenConfig(seed=42))
-        assert len(optimal_solutions(maze)) == 1
+        assert len(list(optimal_solutions(maze))) == 1
         assert bf_distance(maze) is not None
 
     def test_no_walls_always_solvable(self):
@@ -125,7 +125,7 @@ class TestGenerate:
         bfs, listing = module.bfs_distances, module.optimal_solutions
 
         def charged_listing(maze):
-            found = listing(maze)
+            found = list(listing(maze))
             costs.append(4 + sum(len(s.cells) for s in found))
             return found
 
@@ -136,6 +136,25 @@ class TestGenerate:
             generate(cfg)
         assert 10 in costs  # a listing of two 3-cell paths
         assert sum(costs[:-1]) <= 200 < sum(costs)
+
+    def test_uniqueness_check_draws_at_most_two_optima(self, monkeypatch):
+        # Every candidate in the window offers endless optima; two are
+        # enough to see a tie, so the check draws no more.
+        module = importlib.import_module("mazenav.generate")
+        monkeypatch.setattr(module, "WORK_BUDGET", 500)
+        drawn = []
+
+        def endless_optima(maze):
+            drawn.append(0)
+            solution = reference_solution(maze)
+            while True:
+                drawn[-1] += 1
+                yield solution
+
+        monkeypatch.setattr(module, "optimal_solutions", endless_optima)
+        with pytest.raises(GenerationError, match="work budget"):
+            generate(GenConfig(seed=3))
+        assert drawn and set(drawn) == {2}
 
 
 class TestGenerateCorpus:

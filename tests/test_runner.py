@@ -737,6 +737,10 @@ class TestSpecLoading:
             {"providers": [{**provider, "temperature": "0.2"}]},
             {"providers": [{**provider, "max_output_tokens": "2048"}]},
             {"scenarios": [{"name": "one-shot", "k": 1.5}]},
+            {"repeat": 3},
+            {"concurency": 8},
+            {"lenient-exit": True},
+            {"experiment_id": 7},
         ):
             payload = {
                 "corpus": str(corpus_dir),
@@ -758,6 +762,13 @@ class TestSpecLoading:
         ({"providers": [{"name": "m", "model": 1, "endpoint": "mock:x.json"}]}, "model"),
         ({"scenarios": [{"name": "one-shot", "k": 1.5}]}, "k"),
         ({"scenarios": [{"name": 1, "k": 1}]}, "name"),
+        # json.dumps writes these as the literals NaN and Infinity, which json.loads reads.
+        ({"providers": [{"name": "m", "model": "m1", "endpoint": "mock:x.json",
+                         "temperature": float("nan")}]}, "temperature"),
+        ({"providers": [{"name": "m", "model": "m1", "endpoint": "mock:x.json",
+                         "timeout_s": float("inf")}]}, "timeout_s"),
+        ({"providers": [{"name": "m", "model": "m1", "endpoint": "mock:x.json",
+                         "rate_per_s": float("inf")}]}, "rate_per_s"),
     ])
     def test_field_types_checked(self, tmp_path, small_corpus, entry, field):
         corpus_dir, _ = small_corpus

@@ -1,11 +1,12 @@
 import random
 import time
+from itertools import islice
 
 import pytest
 
 from mazenav.cli import main
 from mazenav.generate import GenConfig, generate
-from mazenav.grid import Heading, Maze, MazeError, Opening
+from mazenav.grid import Heading, Maze, MazeError, Opening, internal_adjacencies
 from mazenav.instructions import ExitAt, Forward, StepIn, Turn
 from mazenav.simulator import execute
 from mazenav.solver import (
@@ -102,7 +103,7 @@ class TestEmitInstructions:
 
 class TestOptimalSolutions:
     def test_worked_maze_single_nine_step(self, m0):
-        solutions = optimal_solutions(m0)
+        solutions = list(optimal_solutions(m0))
         assert len(solutions) == 1
         assert len(solutions[0].instructions) == 9
         assert solutions[0].turn_count == 4
@@ -110,20 +111,20 @@ class TestOptimalSolutions:
     def test_no_wall_variant_tie(self, m0_nowall):
         # [8,3,2,1] and [8,7,6,1] both need 6 instructions; deterministic
         # ordering puts the lexicographically smaller cell path first.
-        solutions = optimal_solutions(m0_nowall)
+        solutions = list(optimal_solutions(m0_nowall))
         assert [len(s.instructions) for s in solutions] == [6, 6]
         assert solutions[0].cells == (8, 3, 2, 1)
         assert solutions[1].cells == (8, 7, 6, 1)
 
     def test_ordering_deterministic(self, m0_nowall):
-        assert optimal_solutions(m0_nowall) == optimal_solutions(m0_nowall)
+        assert list(optimal_solutions(m0_nowall)) == list(optimal_solutions(m0_nowall))
 
     def test_generated_unique_optimal(self):
         rng = random.Random(11)
         cfg = GenConfig(seed=11)  # require_unique_optimal defaults on
         for _ in range(60):
             maze = generate(cfg, rng)
-            assert len(optimal_solutions(maze)) == 1
+            assert len(list(optimal_solutions(maze))) == 1
 
     def test_minimality_against_brute_force(self):
         rng = random.Random(21)
@@ -148,13 +149,13 @@ class TestOptimalSolutions:
         for _ in range(250):
             maze = generate(cfg, rng)
             oracle = bf_optimal_solutions(maze)
-            assert optimal_solutions(maze) == oracle
+            assert list(optimal_solutions(maze)) == oracle
             assert reference_solution(maze) == oracle[0]
             assert len({s.turn_count for s in oracle}) == 1
 
     def test_open_30x30_grid(self):
         maze = Maze(30, 30, frozenset(), Opening(1, Heading.N), Opening(898, Heading.S))
-        solutions = optimal_solutions(maze)
+        solutions = list(optimal_solutions(maze))
         assert len(solutions) == 2
         assert solutions[0].instructions == (
             StepIn(1), Turn("left"), Forward(28), Turn("right"), Forward(898), ExitAt(898),
@@ -187,7 +188,7 @@ def ladder(k: int) -> Maze:
 
 class TestLadder:
     def test_k4_lists_all_sixteen_optima(self):
-        solutions = optimal_solutions(ladder(4))
+        solutions = list(optimal_solutions(ladder(4)))
         assert len(solutions) == 16
         assert solutions == bf_optimal_solutions(ladder(4))
 
@@ -209,6 +210,35 @@ class TestLadder:
         (tmp_path / "ladder.maze").write_text(serialize(maze).text, encoding="utf-8")
         assert main(["--workdir", str(tmp_path), "solve", "--maze", "ladder.maze"]) == 0
         assert capsys.readouterr().out == solution_text(maze) + "\n"
+
+
+def band(n: int, w: int) -> Maze:
+    """An nxn maze walled off outside the diagonal band |row - col| <= w,
+    entered north of cell 0 and left south of the last cell. Its optima
+    are many: 120 for n=30, w=4 and 77,520 for n=100, w=14."""
+    inside = {c for c in range(n * n) if abs(c // n - c % n) <= w}
+    walls = [pair for pair in internal_adjacencies(n, n) if not inside.issuperset(pair)]
+    return Maze(n, n, frozenset(walls), Opening(0, Heading.N), Opening(n * n - 1, Heading.S))
+
+
+class TestBand:
+    def test_30x30_band_4_yields_120_optima_lazily_in_order(self):
+        solutions = optimal_solutions(band(30, 4))
+        assert iter(solutions) is solutions  # drawn one at a time, not listed
+        cells = [s.cells for s in solutions]
+        assert len(cells) == 120
+        assert cells == sorted(set(cells))
+
+    def test_100x100_band_14_draws_two_optima_fast(self):
+        maze = band(100, 14)
+        start = time.perf_counter()
+        first, second = islice(optimal_solutions(maze), 2)
+        assert time.perf_counter() - start < 1.0
+        assert first.cells < second.cells
+        assert first == reference_solution(maze)
+        for solution in (first, second):
+            assert execute(maze, solution.instructions).complete
+
 
 
 def test_solution_text_matches_golden(m0, golden_solution):

@@ -159,8 +159,12 @@ class ProviderConfig:
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
-        if self.max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
+        if self.max_output_tokens < 1:
+            raise ValueError(f"max_output_tokens must be >= 1, got {self.max_output_tokens}")
+        # Backoff doubles from 0.5 s with up to 50% jitter, so 10 retries can
+        # already sleep about 13 minutes on one trial.
+        if not 0 <= self.max_retries <= 10:
+            raise ValueError(f"max_retries must be in [0, 10], got {self.max_retries}")
         if self.timeout_s <= 0:
             raise ValueError("timeout_s must be positive")
         if self.rate_per_s is not None and self.rate_per_s <= 0:

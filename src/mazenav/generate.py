@@ -5,6 +5,9 @@ generation is rejection sampling: draw a uniform wall subset of fixed size
 plus boundary openings, keep the result when it is solvable, its shortest
 path length falls in the configured window, and (by default) its minimal
 instruction solution is unique so that step-level scoring is unambiguous.
+The walls come from grid.internal_adjacencies and both openings from
+grid.boundary_openings, the shape's one cached list of legal openings, so
+every draw is a valid Maze.
 
 Each generate call has a deterministic work budget, WORK_BUDGET, counted in
 cell visits: every candidate charges its grid's cell count for its BFS, and
@@ -20,7 +23,7 @@ import random
 from dataclasses import dataclass
 from itertools import islice
 
-from .grid import Heading, Maze, MazeError, Opening, boundary_openings, internal_adjacencies
+from .grid import Heading, Maze, Opening, boundary_openings, internal_adjacencies
 from .solver import bfs_distances, optimal_solutions
 
 
@@ -72,30 +75,18 @@ class GenConfig:
                              f"visits each of the {cells} cells at most once")
 
 
-def _long_side_pair(rows: int, cols: int) -> tuple[Heading, Heading]:
-    return (Heading.N, Heading.S) if cols >= rows else (Heading.W, Heading.E)
-
-
 def _sample_openings(cfg: GenConfig, rng: random.Random) -> tuple[Opening, Opening]:
-    if cfg.opposite_sides:
-        first, second = _long_side_pair(cfg.rows, cfg.cols)
-        entrance_side = rng.choice((first, second))
-        exit_side = second if entrance_side is first else first
-        return _opening_on(cfg, entrance_side, rng), _opening_on(cfg, exit_side, rng)
+    """Two distinct openings from the shape's boundary_openings; with
+    opposite_sides, one on a long side and one on the side across from it."""
     options = boundary_openings(cfg.rows, cfg.cols)
-    entrance = rng.choice(options)
-    exit_ = rng.choice([o for o in options if o != entrance])
-    return entrance, exit_
-
-
-def _opening_on(cfg: GenConfig, side: Heading, rng: random.Random) -> Opening:
-    if side in (Heading.N, Heading.S):
-        col = rng.randrange(cfg.cols)
-        row = 0 if side is Heading.N else cfg.rows - 1
+    if cfg.opposite_sides:
+        side = rng.choice((Heading.N, Heading.S) if cfg.cols >= cfg.rows else (Heading.W, Heading.E))
+        entrance = rng.choice([o for o in options if o.side is side])
+        exit_ = rng.choice([o for o in options if o.side is side.opposite()])
     else:
-        row = rng.randrange(cfg.rows)
-        col = 0 if side is Heading.W else cfg.cols - 1
-    return Opening(row * cfg.cols + col, side)
+        entrance = rng.choice(options)
+        exit_ = rng.choice([o for o in options if o != entrance])
+    return entrance, exit_
 
 
 def _candidate(cfg: GenConfig, rng: random.Random, adjacencies: tuple) -> tuple[Maze | None, int]:
@@ -104,10 +95,7 @@ def _candidate(cfg: GenConfig, rng: random.Random, adjacencies: tuple) -> tuple[
     walls = rng.sample(adjacencies, cfg.wall_count)
     entrance, exit_ = _sample_openings(cfg, rng)
     cells = cfg.rows * cfg.cols
-    try:
-        maze = Maze(cfg.rows, cfg.cols, frozenset(walls), entrance, exit_)
-    except MazeError:
-        return None, cells  # entrance == exit draw in 1xN relaxed mode
+    maze = Maze(cfg.rows, cfg.cols, frozenset(walls), entrance, exit_)
     dist = bfs_distances(maze, entrance.cell).get(exit_.cell)
     if dist is None or not cfg.min_path <= dist <= cfg.max_path:
         return None, cells

@@ -13,6 +13,8 @@ wall slots the generator samples from (internal_adjacencies), the
 simulator's rays and the solver's move headings all read that table.
 adjacency(maze) is the one walled-neighbour query: the passable neighbours
 of every cell, which the BFS, the solver and the generator read.
+boundary_openings(rows, cols), also cached per shape, is the one list of
+legal openings; the generator draws both of a maze's openings from it.
 """
 
 from __future__ import annotations
@@ -161,8 +163,10 @@ def internal_adjacencies(rows: int, cols: int) -> tuple[tuple[int, int], ...]:
                  for n in nearby if n > cell)
 
 
-def boundary_openings(rows: int, cols: int) -> list[Opening]:
-    """Every legal (cell, side) opening on the outer boundary."""
+@lru_cache(maxsize=8)
+def boundary_openings(rows: int, cols: int) -> tuple[Opening, ...]:
+    """Every legal (cell, side) opening on the outer boundary: each column's
+    N then S, then each row's W then E."""
     out = []
     for c in range(cols):
         out.append(Opening(c, Heading.N))
@@ -170,4 +174,4 @@ def boundary_openings(rows: int, cols: int) -> list[Opening]:
     for r in range(rows):
         out.append(Opening(r * cols, Heading.W))
         out.append(Opening(r * cols + cols - 1, Heading.E))
-    return out
+    return tuple(out)

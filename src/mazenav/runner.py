@@ -80,6 +80,8 @@ class ExperimentSpec:
     def __post_init__(self) -> None:
         if not self.providers:
             raise SpecError("at least one provider is required")
+        if not self.scenarios:
+            raise SpecError("at least one scenario is required")
         _check_types(self, "a string", str, "scoring_mode", "experiment_id")
         _check_types(self, "an integer", int, "concurrency", "repeats")
         _check_types(self, "a boolean", bool, "lenient_exit")
@@ -98,9 +100,10 @@ class ExperimentSpec:
 
 def load_spec(path) -> ExperimentSpec:
     """Read the declarative experiment config (JSON). Keys other than the
-    corpus, output, providers and scenarios go to ExperimentSpec as they are,
-    so it holds the defaults and checks the types, and an unknown key is
-    refused; the experiment id defaults to the file's stem."""
+    corpus and output go to ExperimentSpec, the providers and the scenarios
+    as their configs and the rest as they are, so it holds the defaults
+    (scenarios only when the key is absent) and checks the types, and an
+    unknown key is refused; the experiment id defaults to the file's stem."""
     path = Path(path)
     try:
         data = json.loads(path.read_text(encoding="utf-8"))
@@ -108,14 +111,13 @@ def load_spec(path) -> ExperimentSpec:
         raise SpecError(f"cannot read spec {path}: {err}")
     try:
         rest = {"experiment_id": path.stem, **data}
-        providers = [ProviderConfig(**p) for p in rest.pop("providers")]
-        scenarios = [Scenario(**s) for s in rest.pop("scenarios", [])] or list(DEFAULT_SCENARIOS)
+        rest["providers"] = [ProviderConfig(**p) for p in rest["providers"]]
+        if "scenarios" in rest:
+            rest["scenarios"] = [Scenario(**s) for s in rest["scenarios"]]
         base = path.parent
         return ExperimentSpec(
             corpus_dir=(base / rest.pop("corpus")).resolve(),
             output_dir=(base / rest.pop("output")).resolve(),
-            providers=providers,
-            scenarios=scenarios,
             **rest,
         )
     except (KeyError, TypeError, ValueError) as err:

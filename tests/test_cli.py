@@ -41,6 +41,9 @@ class TestGen:
         (("--rows", 6, "--cols", 10, "--wall-count", 4, "--min-path", 10, "--max-path", 14,
           "--seed", 1, "--n-test", 10, "--n-shot", 0),
          "ec05a594b5c835a2e1f4caee0c12f9da58f29fafe8c506acf8bb3b8cd9a51afa"),
+        (("--any-sides",), "0df0f132663c65f91ed8164ebc47d57ade2c55c22d9cff3e4fe979457d6dc886"),
+        (("--rows", 12, "--cols", 3),
+         "25c1842422b67a2e9fc23da381351a35b3088890fa70a5ccbb8596490135bdd1"),
     ])
     def test_corpus_bytes_pinned(self, tmp_path, options, digest):
         # The manifest holds every maze file's sha256, so it pins the corpus.

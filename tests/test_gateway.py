@@ -403,6 +403,21 @@ def test_provider_field_types(field, value):
         http_cfg(**{field: value})
 
 
+@pytest.mark.parametrize("field, value", [
+    ("max_output_tokens", 0), ("max_output_tokens", -5),
+    ("max_retries", -1), ("max_retries", 11), ("max_retries", 1_000_000),
+])
+def test_provider_numbers_out_of_range(field, value):
+    with pytest.raises(ValueError, match=field):
+        http_cfg(**{field: value})
+
+
+def test_provider_numbers_at_their_limits():
+    for tokens, retries in ((1, 0), (2048, 10)):
+        cfg = http_cfg(max_output_tokens=tokens, max_retries=retries)
+        assert (cfg.max_output_tokens, cfg.max_retries) == (tokens, retries)
+
+
 def test_provider_numbers_accept_ints_and_floats():
     cfg = http_cfg(temperature=1, timeout_s=2.5, rate_per_s=3, credential_env=None)
     assert request_payload(cfg, [ChatMessage("user", "hi")])["temperature"] == 1

@@ -6,7 +6,8 @@ import pytest
 
 from mazenav import corpus
 from mazenav.corpus import CorpusError, build_corpus, load_corpus, save_corpus
-from mazenav.generate import GenConfig, GenerationError, generate, generate_corpus
+from mazenav.generate import GenConfig, GenerationError, _sample_openings, generate, generate_corpus
+from mazenav.grid import Heading, Opening, boundary_openings
 from mazenav.solver import bfs_distances, optimal_solutions, reference_solution
 
 from .reference_impl import bf_distance
@@ -155,6 +156,45 @@ class TestGenerate:
         with pytest.raises(GenerationError, match="work budget"):
             generate(GenConfig(seed=3))
         assert drawn and set(drawn) == {2}
+
+
+def _long_side_pair(rows, cols):
+    return (Heading.N, Heading.S) if cols >= rows else (Heading.W, Heading.E)
+
+
+def _opening_on(cfg, side, rng):
+    if side in (Heading.N, Heading.S):
+        col = rng.randrange(cfg.cols)
+        row = 0 if side is Heading.N else cfg.rows - 1
+    else:
+        row = rng.randrange(cfg.rows)
+        col = 0 if side is Heading.W else cfg.cols - 1
+    return Opening(row * cfg.cols + col, side)
+
+
+def _reference_openings(cfg, rng):
+    """The opening draw that pinned corpora were made with: a side, then a
+    column or row on it, or two distinct openings from the boundary list."""
+    if cfg.opposite_sides:
+        first, second = _long_side_pair(cfg.rows, cfg.cols)
+        entrance_side = rng.choice((first, second))
+        exit_side = second if entrance_side is first else first
+        return _opening_on(cfg, entrance_side, rng), _opening_on(cfg, exit_side, rng)
+    options = list(boundary_openings(cfg.rows, cfg.cols))
+    entrance = rng.choice(options)
+    exit_ = rng.choice([o for o in options if o != entrance])
+    return entrance, exit_
+
+
+@pytest.mark.parametrize("rows, cols", [(1, 6), (6, 1), (2, 5), (5, 5), (12, 3), (6, 10)])
+@pytest.mark.parametrize("opposite_sides", [True, False])
+def test_opening_draws_match_the_reference(rows, cols, opposite_sides):
+    # Same openings and same rng state after each draw, so every corpus keeps its bytes.
+    cfg = GenConfig(rows=rows, cols=cols, opposite_sides=opposite_sides)
+    ours, reference = random.Random(rows * 100 + cols), random.Random(rows * 100 + cols)
+    for _ in range(200):
+        assert _sample_openings(cfg, ours) == _reference_openings(cfg, reference)
+        assert ours.getstate() == reference.getstate()
 
 
 class TestGenerateCorpus:

@@ -131,3 +131,7 @@ def test_boundary_openings_2x5():
     openings = boundary_openings(2, 5)
     assert len(openings) == 14
     assert len(set(openings)) == 14
+
+
+def test_boundary_openings_cached_per_shape():
+    assert boundary_openings(3, 4) is boundary_openings(3, 4)

@@ -741,6 +741,8 @@ class TestSpecLoading:
             {"concurency": 8},
             {"lenient-exit": True},
             {"experiment_id": 7},
+            {"scenarios": []},
+            {"providers": [{**provider, "max_retries": 1000000}]},
         ):
             payload = {
                 "corpus": str(corpus_dir),

@@ -36,7 +36,7 @@ from .textform import load_description, render_ascii, serialize
 
 # MazeError, MalformedDescription, CorpusError, UnsolvableMazeError and
 # SpecError all subclass ValueError.
-_ERRORS = (ValueError, GenerationError, GatewayError, FileNotFoundError)
+_ERRORS = (ValueError, GenerationError, GatewayError, OSError)
 
 
 def _gen_config(args) -> GenConfig:

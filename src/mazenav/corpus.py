@@ -4,7 +4,8 @@ recording ids, roles (test/shot), generation config, and content hashes.
 ``build_corpus`` returns the corpus it wrote: the generated mazes under the
 ids ``save_corpus`` gave them, and the manifest's config. It reads nothing
 back. ``load_corpus`` is the only thing that parses corpus files; it checks
-every file's sha256 and parses every file on each load.
+the manifest's shape and every file's sha256, and parses every file on each
+load.
 """
 
 from __future__ import annotations
@@ -73,10 +74,18 @@ def load_corpus(directory) -> Corpus:
     if not manifest_path.exists():
         raise CorpusError(f"no {MANIFEST_NAME} in {directory}")
     manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    if not isinstance(manifest, dict):
+        raise CorpusError(f"{manifest_path} is not a JSON object")
     if manifest.get("format") != FORMAT:
         raise CorpusError(f"unsupported corpus format: {manifest.get('format')!r}")
+    if not isinstance(manifest.get("mazes"), list) or not isinstance(manifest.get("config"), dict):
+        raise CorpusError(f"{manifest_path}: mazes must be a list and config an object")
     tests, shots = [], []
     for entry in manifest["mazes"]:
+        if not isinstance(entry, dict) or not {"id", "role", "file", "sha256"} <= entry.keys():
+            raise CorpusError(f"{manifest_path}: an entry lacks id, role, file or sha256: {entry!r}")
+        if entry["role"] not in ("test", "shot"):
+            raise CorpusError(f"{manifest_path}: {entry['id']} has unknown role {entry['role']!r}")
         text = (directory / entry["file"]).read_text(encoding="utf-8")
         if _sha256(text) != entry["sha256"]:
             raise CorpusError(f"checksum mismatch for {entry['file']}")

@@ -9,12 +9,12 @@ scenario's solved examples are rendered once per run; the messages are the
 same as without it.
 
 HTTP goes through the standard library (``urllib.request``), imported on
-the first request: proxies come from ``HTTP(S)_PROXY``, read at that first
-request, and ``NO_PROXY``; TLS is verified against the system CA store; and
-a redirect of the POST is not followed but returned as its status, which
-``complete`` raises as RequestRejected, as it does any 4xx but 401/403
-(AuthError), 408 and 429 (retried). The rate cap and the retry policy apply
-to every attempt.
+the first request. Its opener holds only the proxy, HTTP and HTTPS
+handlers, so every reply, a redirect or an error included, comes back as
+its status, and ``complete`` classifies it once. Proxies come from
+``HTTP(S)_PROXY``, read at the first request, and ``NO_PROXY``; TLS is
+verified against the system CA store. The rate cap and the retry policy
+apply to every attempt.
 
 Endpoints starting with ``mock:`` are served from a JSON script file mapping
 "<maze_id>|<scenario>" keys to response text; "*" is the fallback key. Mock
@@ -31,6 +31,7 @@ import os
 import random
 import threading
 import time
+import urllib.parse
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -79,12 +80,9 @@ class AuthError(GatewayError):
     """Credential missing or rejected; never retried."""
 
 
-class RateLimitExhausted(GatewayError):
-    pass
-
-
 class TransportFailure(GatewayError):
-    """Network-level failure (connection, timeout); retried as transient."""
+    """A retryable failure (network error, timeout, 408, 429, 5xx); from
+    ``complete``, one whose retries are spent."""
 
 
 class MalformedResponse(GatewayError):
@@ -169,6 +167,14 @@ class ProviderConfig:
             raise ValueError("timeout_s must be positive")
         if self.rate_per_s is not None and self.rate_per_s <= 0:
             raise ValueError("rate_per_s must be positive (omit it for no cap)")
+        try:  # the opener serves http(s) alone
+            url = urllib.parse.urlsplit(self.endpoint)
+        except ValueError:  # say, an unclosed IPv6 bracket
+            url = None
+        if not self.endpoint.startswith("mock:") and (
+                url is None or url.scheme not in ("http", "https") or not url.hostname):
+            raise ValueError(f"endpoint must be mock:<script> or an http(s) URL with a host,"
+                             f" got {self.endpoint!r}")
 
 
 @dataclass(frozen=True)
@@ -290,11 +296,13 @@ def _bucket(cfg: ProviderConfig) -> _TokenBucket:
 def _opener():
     import urllib.request
 
-    class NoRedirect(urllib.request.HTTPRedirectHandler):
-        def redirect_request(self, req, fp, code, msg, headers, newurl):
-            return None  # the 3xx reaches the caller as an HTTPError
-
-    return urllib.request.build_opener(NoRedirect)
+    # No error processor and no redirect handler: open() returns every
+    # status as a response, for complete() to classify.
+    opener = urllib.request.OpenerDirector()
+    for handler in (urllib.request.ProxyHandler(), urllib.request.HTTPHandler(),
+                    urllib.request.HTTPSHandler()):
+        opener.add_handler(handler)
+    return opener
 
 
 def _http_transport(url: str, headers: dict, payload: dict, timeout: float):
@@ -302,17 +310,12 @@ def _http_transport(url: str, headers: dict, payload: dict, timeout: float):
     it is not JSON). Any status, error statuses included, is returned;
     network failures and timeouts raise TransportFailure."""
     import http.client
-    import urllib.error
     import urllib.request
 
     data = json.dumps(payload).encode("utf-8")
     request = urllib.request.Request(url, data=data, headers=headers, method="POST")
     try:
-        try:
-            response = _opener().open(request, timeout=timeout)
-        except urllib.error.HTTPError as err:
-            response = err  # a non-2xx reply: its status and body are the result
-        with response:
+        with _opener().open(request, timeout=timeout) as response:
             status, raw = response.status, response.read()
     except (http.client.HTTPException, OSError) as err:
         # URLError and socket timeouts are OSErrors.
@@ -331,9 +334,13 @@ def _mock_complete(cfg: ProviderConfig, messages, trial_key: str | None) -> Comp
         script = json.loads(script_path.read_text(encoding="utf-8"))
     except (OSError, ValueError) as err:
         raise GatewayError(f"cannot load mock script {script_path}: {err}")
+    if not isinstance(script, dict):
+        raise GatewayError(f"mock script {script_path} is not a JSON object")
     text = script.get(trial_key, script.get("*"))
     if text is None:
         raise GatewayError(f"no scripted response for key {trial_key!r}")
+    if not isinstance(text, str):
+        raise GatewayError(f"mock script {script_path} gives {trial_key!r} a {type(text).__name__}, not text")
     tokens_in = sum(len(m.content.split()) for m in messages)
     return Completion(text, tokens_in, len(text.split()), 0.0, 1)
 
@@ -353,7 +360,8 @@ def complete(
     """One stateless chat-completion request with retry on transient failures.
 
     Rate-limit (429), request-timeout (408), 5xx and network errors back off
-    exponentially with jitter up to cfg.max_retries retries. Auth failures
+    exponentially with jitter up to cfg.max_retries retries, then raise
+    TransportFailure with the last reason. Auth failures
     (401, 403) and the other 3xx and 4xx replies, which every later request
     would get too, raise AuthError or RequestRejected at once. Every attempt
     first reserves a slot under cfg.rate_per_s.
@@ -371,43 +379,38 @@ def complete(
     transport = transport or _http_transport
     payload = request_payload(cfg, messages)
     started = time.perf_counter()
-    attempts = 0
     delay = 0.5
-    while True:
-        attempts += 1
+    for attempts in range(1, cfg.max_retries + 2):
+        if attempts > 1:
+            if rng is None:
+                rng = random.Random()  # seeded from the OS, so only once a retry needs it
+            sleeper(delay + rng.uniform(0.0, delay / 2))
+            delay *= 2
         if cfg.rate_per_s is not None:
             wait = _bucket(cfg).reserve(time.monotonic())
             if wait > 0:
                 sleeper(wait)
-        retryable = None
         try:
             status, body = transport(cfg.endpoint, headers, payload, cfg.timeout_s)
         except TransportFailure as err:
-            retryable = str(err)
+            reason = str(err)
+            continue
+        if status == 200:
+            return _extract(body, started, attempts)
+        if status in (401, 403):
+            raise AuthError(f"provider rejected credentials (http {status})")
+        if status == 429:
+            reason = "rate limited (http 429)"
+        elif status == 408:
+            reason = "request timeout (http 408)"
+        elif 500 <= status < 600:
+            reason = f"server error (http {status})"
+        elif 300 <= status < 500:
+            excerpt = (body if isinstance(body, str) else json.dumps(body))[:_EXCERPT]
+            raise RequestRejected(f"provider rejected the request (http {status}): {excerpt}")
         else:
-            if status in (401, 403):
-                raise AuthError(f"provider rejected credentials (http {status})")
-            if status == 429:
-                retryable = "rate limited (http 429)"
-            elif status == 408:
-                retryable = "request timeout (http 408)"
-            elif 500 <= status < 600:
-                retryable = f"server error (http {status})"
-            elif 300 <= status < 500:
-                excerpt = (body if isinstance(body, str) else json.dumps(body))[:_EXCERPT]
-                raise RequestRejected(f"provider rejected the request (http {status}): {excerpt}")
-            elif status != 200:
-                raise GatewayError(f"unexpected http status {status}")
-            else:
-                return _extract(body, started, attempts)
-        if attempts > cfg.max_retries:
-            if "rate limited" in (retryable or ""):
-                raise RateLimitExhausted(f"gave up after {attempts} attempts: {retryable}")
-            raise TransportFailure(f"gave up after {attempts} attempts: {retryable}")
-        if rng is None:
-            rng = random.Random()  # seeded from the OS, so only once a retry needs it
-        sleeper(delay + rng.uniform(0.0, delay / 2))
-        delay *= 2
+            raise GatewayError(f"unexpected http status {status}")
+    raise TransportFailure(f"gave up after {attempts} attempts: {reason}")
 
 
 def _extract(body: dict, started: float, attempts: int) -> Completion:

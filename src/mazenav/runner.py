@@ -158,7 +158,11 @@ class RunRecord:
 
     @classmethod
     def from_json_line(cls, line: str) -> "RunRecord":
-        return cls(**json.loads(line))
+        record = cls(**json.loads(line))
+        if not isinstance(record.scores, dict) or not all(
+                isinstance(record.scores.get(mode), dict) for mode in MODES):
+            raise ValueError(f"scores must hold an object for each of {', '.join(MODES)}")
+        return record
 
 
 def shots_for(scenario: Scenario, shot_entries: list) -> list:

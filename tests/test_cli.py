@@ -150,6 +150,11 @@ class TestErrors:
         assert run_cli("--workdir", tmp_path, "render", "--maze", "bad.maze") == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_directory_as_maze(self, tmp_path, capsys):
+        (tmp_path / "adir").mkdir()
+        assert run_cli("--workdir", tmp_path, "render", "--maze", "adir") == 1
+        assert "error:" in capsys.readouterr().err
+
     def test_usage_error_exit_code(self):
         with pytest.raises(SystemExit) as info:
             run_cli("frobnicate")
@@ -205,6 +210,7 @@ class TestEvalAndReport:
     @pytest.mark.parametrize("section, entry, field", [
         ("providers", {"temperature": "0.2"}, "temperature"),
         ("scenarios", {"name": "one-shot", "k": 1.5}, "k"),
+        ("providers", {"endpoint": "htp://127.0.0.1:9/v1"}, "endpoint"),
     ])
     def test_field_type_refused(self, tmp_path, capsys, section, entry, field):
         self.build_experiment(tmp_path)
@@ -217,6 +223,30 @@ class TestEvalAndReport:
         assert run_cli("--workdir", tmp_path, "eval", "--spec", "exp.json") == 1
         assert f"{field} must be" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+
+    def test_malformed_manifest_is_an_error_line(self, tmp_path, capsys):
+        self.build_experiment(tmp_path)
+        path = tmp_path / "corpus" / "manifest.json"
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+        del manifest["mazes"]
+        path.write_text(json.dumps(manifest), encoding="utf-8")
+        assert run_cli("--workdir", tmp_path, "eval", "--spec", "exp.json") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "manifest.json" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_record_without_both_scores_is_an_error_line(self, tmp_path, capsys):
+        self.build_experiment(tmp_path)
+        assert run_cli("--workdir", tmp_path, "eval", "--spec", "exp.json") == 0
+        log_path = tmp_path / "out" / "records.jsonl"
+        first, *rest = log_path.read_text(encoding="utf-8").splitlines(keepends=True)
+        record = json.loads(first)
+        del record["scores"]["execution"]
+        log_path.write_text("".join([json.dumps(record) + "\n", *rest]), encoding="utf-8")
+        capsys.readouterr()
+        assert run_cli("--workdir", tmp_path, "report", "--log", "out/records.jsonl") == 1
+        assert "error: corrupt record log" in capsys.readouterr().err
 
 
 class TestMockEval:

@@ -22,7 +22,6 @@ from mazenav.gateway import (
     PromptCache,
     MalformedResponse,
     ProviderConfig,
-    RateLimitExhausted,
     RequestRejected,
     Scenario,
     TransportFailure,
@@ -251,7 +250,20 @@ class TestComplete:
     def test_rate_limit_exhausted(self, monkeypatch, m0):
         monkeypatch.setenv("PROV_KEY", "k")
         transport = ScriptedTransport([(429, {})] * 3)
-        with pytest.raises(RateLimitExhausted):
+        with pytest.raises(TransportFailure, match=r"rate limited \(http 429\)"):
+            complete(
+                http_cfg(max_retries=2),
+                build_messages(m0, [], ZERO_SHOT),
+                transport=transport,
+                sleeper=lambda _s: None,
+            )
+        assert len(transport.calls) == 3
+
+    def test_spent_transport_failures_give_up_as_transport_failure(self, monkeypatch, m0):
+        # The give-up class follows the outcome, not words in its message.
+        monkeypatch.setenv("PROV_KEY", "k")
+        transport = ScriptedTransport([TransportFailure("upstream rate limited")] * 3)
+        with pytest.raises(TransportFailure, match="gave up after 3 attempts: upstream rate limited"):
             complete(
                 http_cfg(max_retries=2),
                 build_messages(m0, [], ZERO_SHOT),
@@ -362,6 +374,12 @@ class TestMockProvider:
         with pytest.raises(GatewayError):
             complete(cfg, build_messages(m0, [], ZERO_SHOT))
 
+    @pytest.mark.parametrize("script", [[1], {"*": 5}, {"*": ["Turn left"]}, "Turn left"])
+    def test_malformed_script(self, tmp_path, m0, script):
+        cfg = self.make_cfg(tmp_path, script)
+        with pytest.raises(GatewayError, match="mock script .*script.json"):
+            complete(cfg, build_messages(m0, [], ZERO_SHOT), trial_key="maze-1|zero-shot")
+
     def test_deterministic(self, tmp_path, m0):
         cfg = self.make_cfg(tmp_path, {"*": "same"})
         messages = build_messages(m0, [], ZERO_SHOT)
@@ -416,6 +434,22 @@ def test_provider_numbers_at_their_limits():
     for tokens, retries in ((1, 0), (2048, 10)):
         cfg = http_cfg(max_output_tokens=tokens, max_retries=retries)
         assert (cfg.max_output_tokens, cfg.max_retries) == (tokens, retries)
+
+
+@pytest.mark.parametrize("endpoint", [
+    "htp://x/v1", "ftp://x/v1", "file:///etc/hostname", "http:///v1", "http://:80/v1", "api.example/v1",
+    "http://[::1/v1",
+])
+def test_endpoint_the_transport_cannot_serve_refused(endpoint):
+    with pytest.raises(ValueError, match="endpoint must be"):
+        http_cfg(endpoint=endpoint)
+
+
+@pytest.mark.parametrize("endpoint", [
+    "HTTPS://api.example/v1", "http://127.0.0.1:8000/v1/chat/completions", "mock:x.json",
+])
+def test_endpoint_accepted(endpoint):
+    assert http_cfg(endpoint=endpoint).endpoint == endpoint
 
 
 def test_provider_numbers_accept_ints_and_floats():
@@ -532,6 +566,18 @@ class TestHttpTransport:
         cfg = ProviderConfig(name="local", model="m", endpoint=self.url(server, "/missing"))
         with pytest.raises(RequestRejected, match=r"\(http 404\): <html>no such route</html>$"):
             complete(cfg, [ChatMessage("user", "hi")])
+
+    def test_proxy_gets_the_absolute_uri(self, server, monkeypatch):
+        target = "http://provider.invalid/v1/chat/completions"
+        server.replies[target] = [(200, json.dumps(ok_body("via proxy")).encode(), 0.0)]
+        for name in ("http_proxy", "HTTP_PROXY"):
+            monkeypatch.setenv(name, self.url(server, ""))
+        gateway._opener.cache_clear()  # proxies are read when the opener is built
+        try:
+            assert _http_transport(target, {}, {}, 5.0) == (200, ok_body("via proxy"))
+        finally:
+            gateway._opener.cache_clear()  # no later test gets an opener with this proxy
+        assert [path for path, _, _ in server.requests] == [target]
 
     def test_closed_port_is_transport_failure(self):
         with socket.socket() as sock:

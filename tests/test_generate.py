@@ -1,4 +1,5 @@
 import importlib
+import json
 import random
 import time
 
@@ -261,6 +262,25 @@ class TestCorpusIO:
         target = tmp_path / "c" / "test-000.maze"
         target.write_text(target.read_text() + " ", encoding="utf-8")
         with pytest.raises(CorpusError):
+            load_corpus(tmp_path / "c")
+
+    @pytest.mark.parametrize("change", [
+        lambda m: m.pop("mazes"),
+        lambda m: m.update(mazes={}),
+        lambda m: m.update(config=[]),
+        lambda m: m["mazes"][0].pop("sha256"),
+        lambda m: m["mazes"][0].pop("id"),
+        lambda m: m["mazes"][1].update(role="dev"),
+        lambda m: m["mazes"].append(7),
+    ], ids=["no-mazes", "mazes-object", "config-list", "no-sha256", "no-id", "unknown-role",
+            "entry-number"])
+    def test_malformed_manifest_refused(self, tmp_path, change):
+        build_corpus(tmp_path / "c", GenConfig(seed=4), 1, 1)
+        path = tmp_path / "c" / "manifest.json"
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+        change(manifest)
+        path.write_text(json.dumps(manifest), encoding="utf-8")
+        with pytest.raises(CorpusError, match="manifest.json"):
             load_corpus(tmp_path / "c")
 
     def test_missing_manifest(self, tmp_path):

@@ -103,6 +103,15 @@ class TestRun:
         run(spec, clock=lambda: 0.0)
         assert log_path.read_text(encoding="utf-8") == full
 
+    @pytest.mark.parametrize("script", [[1], {"*": 5}])
+    def test_malformed_mock_script_is_provider_error(self, tmp_path, small_corpus, script):
+        corpus_dir, corpus = small_corpus
+        path = tmp_path / "bad-script.json"
+        path.write_text(json.dumps(script), encoding="utf-8")
+        spec = make_spec(tmp_path, corpus_dir, f"mock:{path}", scenarios=[Scenario("zero-shot", 0)])
+        (summary,) = run(spec, clock=lambda: 0.0)
+        assert summary.fault_histogram == {FaultKind.PROVIDER_ERROR.value: len(corpus.tests)}
+
     def test_provider_error_scores_zero(self, tmp_path, small_corpus):
         corpus_dir, corpus = small_corpus
         # script only covers the first maze: the rest fail as provider errors
@@ -565,6 +574,22 @@ class TestRecordLog:
         with pytest.raises(SpecError):
             _load_records(log_path)
 
+    @pytest.mark.parametrize("scores", [{MODE_ORACLE: {}}, "x", {MODE_ORACLE: {}, MODE_EXECUTION: 1}])
+    def test_record_without_both_scores_is_corrupt(self, tmp_path, small_corpus, scores):
+        corpus_dir, corpus = small_corpus
+        endpoint = write_script(tmp_path, corpus, oracle_answers(corpus))
+        spec = make_spec(tmp_path, corpus_dir, endpoint)
+        run(spec, clock=lambda: 0.0)
+        log_path = spec.output_dir / RECORDS_NAME
+        lines = log_path.read_text(encoding="utf-8").splitlines(keepends=True)
+        bad = json.dumps({**json.loads(lines[1]), "scores": scores}) + "\n"
+        log_path.write_text("".join([lines[0], bad, *lines[2:]]), encoding="utf-8")
+        with pytest.raises(SpecError, match="corrupt record log .* at line 2: scores"):
+            load_records(log_path)
+        # As an unterminated last line it reads as torn, and is skipped.
+        log_path.write_text("".join([*lines[:-1], bad.rstrip("\n")]), encoding="utf-8")
+        assert len(load_records(log_path)) == len(lines) - 1
+
     def test_load_records_empty(self, tmp_path):
         with pytest.raises(SpecError):
             load_records(tmp_path / RECORDS_NAME)
@@ -743,6 +768,7 @@ class TestSpecLoading:
             {"experiment_id": 7},
             {"scenarios": []},
             {"providers": [{**provider, "max_retries": 1000000}]},
+            {"providers": [{**provider, "endpoint": "htp://127.0.0.1:9/v1"}]},
         ):
             payload = {
                 "corpus": str(corpus_dir),

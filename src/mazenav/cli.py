@@ -24,10 +24,8 @@ from .runner import (
     check_corpus_size,
     load_records,
     load_spec,
-    report_text,
+    render_reports,
     run_records,
-    summary_csv,
-    write_reports,
 )
 from .scoring import MODES, MODE_ORACLE, score_run
 from .simulator import execute
@@ -132,17 +130,19 @@ def cmd_eval(args) -> int:
 
 def _run_and_report(spec: ExperimentSpec, clock=time.time) -> int:
     """Run the missing trials, then write and print the report of the whole log."""
-    records = run_records(spec, clock=clock)
-    print(write_reports(spec.output_dir, records, spec.scoring_mode), end="")
+    report, csv = render_reports(run_records(spec, clock=clock), spec.scoring_mode)
+    (spec.output_dir / "report.txt").write_text(report, encoding="utf-8")
+    (spec.output_dir / "summary.csv").write_text(csv, encoding="utf-8")
+    print(report, end="")
     print(f"records: {spec.output_dir / RECORDS_NAME}")
     return 0
 
 
 def cmd_report(args) -> int:
-    records = load_records(args.workdir / args.log)
-    print(report_text(records, args.mode), end="")
+    report, csv = render_reports(load_records(args.workdir / args.log), args.mode)
+    print(report, end="")
     if args.csv:
-        (args.workdir / args.csv).write_text(summary_csv(records, args.mode), encoding="utf-8")
+        (args.workdir / args.csv).write_text(csv, encoding="utf-8")
     return 0
 
 
@@ -179,7 +179,7 @@ def cmd_mock_eval(args) -> int:
     if reused:
         corpus = load_corpus(corpus_dir)
         # A reused corpus must match every flag given; flags left out are not compared.
-        flags = {"seed": (args.seed, corpus.config["seed"]),
+        flags = {"seed": (args.seed, corpus.config.get("seed")),
                  "n_test": (args.n_test, len(corpus.tests)),
                  "n_shot": (args.n_shot, len(corpus.shots))}
         differ = [f"{name} {built} (flag: {flag})" for name, (flag, built) in flags.items()

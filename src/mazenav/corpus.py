@@ -5,7 +5,9 @@ recording ids, roles (test/shot), generation config, and content hashes.
 ids ``save_corpus`` gave them, and the manifest's config. It reads nothing
 back. ``load_corpus`` is the only thing that parses corpus files; it checks
 the manifest's shape and every file's sha256, and parses every file on each
-load.
+load. Before it reads any file it checks every entry: ``id``, ``role``,
+``file`` and ``sha256`` are strings, and no two entries share an id or a
+file, since runs, records and reports key each maze by its id.
 """
 
 from __future__ import annotations
@@ -80,12 +82,23 @@ def load_corpus(directory) -> Corpus:
         raise CorpusError(f"unsupported corpus format: {manifest.get('format')!r}")
     if not isinstance(manifest.get("mazes"), list) or not isinstance(manifest.get("config"), dict):
         raise CorpusError(f"{manifest_path}: mazes must be a list and config an object")
-    tests, shots = [], []
+    # Every entry is checked before any file is read: runs key prompts, records
+    # and reports by id, so a repeated id or file would merge two mazes.
+    seen = {"id": set(), "file": set()}
     for entry in manifest["mazes"]:
-        if not isinstance(entry, dict) or not {"id", "role", "file", "sha256"} <= entry.keys():
-            raise CorpusError(f"{manifest_path}: an entry lacks id, role, file or sha256: {entry!r}")
+        if not isinstance(entry, dict) or not all(
+                isinstance(entry.get(f), str) for f in ("id", "role", "file", "sha256")):
+            raise CorpusError(f"{manifest_path}: an entry lacks a string id, role, file or "
+                              f"sha256: {entry!r}")
         if entry["role"] not in ("test", "shot"):
             raise CorpusError(f"{manifest_path}: {entry['id']} has unknown role {entry['role']!r}")
+        for name, values in seen.items():
+            if entry[name] in values:
+                raise CorpusError(f"{manifest_path}: {entry['id']} repeats the {name} "
+                                  f"{entry[name]!r}")
+            values.add(entry[name])
+    tests, shots = [], []
+    for entry in manifest["mazes"]:
         text = (directory / entry["file"]).read_text(encoding="utf-8")
         if _sha256(text) != entry["sha256"]:
             raise CorpusError(f"checksum mismatch for {entry['file']}")

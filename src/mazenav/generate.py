@@ -81,8 +81,9 @@ def _sample_openings(cfg: GenConfig, rng: random.Random) -> tuple[Opening, Openi
     options = boundary_openings(cfg.rows, cfg.cols)
     if cfg.opposite_sides:
         side = rng.choice((Heading.N, Heading.S) if cfg.cols >= cfg.rows else (Heading.W, Heading.E))
+        across = side.opposite()
         entrance = rng.choice([o for o in options if o.side is side])
-        exit_ = rng.choice([o for o in options if o.side is side.opposite()])
+        exit_ = rng.choice([o for o in options if o.side is across])
     else:
         entrance = rng.choice(options)
         exit_ = rng.choice([o for o in options if o != entrance])

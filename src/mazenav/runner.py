@@ -18,12 +18,15 @@ queued and propagates; the records written before it stay.
 
 The log is read once per run: the read reports where its whole lines end,
 and the handle that appends cuts a torn last line or ends an unterminated
-one. ``run_records`` returns every record of the log, the loaded ones and
-the new ones; ``run()`` returns their summaries, and the CLI's eval and
-mock-eval write their reports from the same records. The summaries,
-report.txt and summary.csv all render from one tally: a single walk over
-the records that groups their scores in the report's mode and counts
-execution-mode first faults per provider.
+one. A record whose key fields have the wrong types is a corrupt line, so a
+resume never pays for its trial again. ``run_records`` returns every record
+of the log, the loaded ones and the new ones; ``run()`` returns their
+summaries. The summaries, report.txt and summary.csv all render from one
+tally: a single walk over the records that groups their scores in the
+report's mode and counts execution-mode first faults per provider.
+``render_reports`` returns report.txt and summary.csv as strings from one
+tally; the CLI's eval, mock-eval and report all render through it, and only
+the CLI writes report files.
 """
 
 from __future__ import annotations
@@ -159,6 +162,13 @@ class RunRecord:
     @classmethod
     def from_json_line(cls, line: str) -> "RunRecord":
         record = cls(**json.loads(line))
+        # The key fields must have their own types, or a resume would miss the
+        # record and pay for its trial again, and the report could not sort it.
+        if not all(isinstance(getattr(record, f), str)
+                   for f in ("provider", "model", "scenario", "maze_id")):
+            raise ValueError("provider, model, scenario and maze_id must be strings")
+        if type(record.repeat) is not int:
+            raise ValueError("repeat must be an integer")
         if not isinstance(record.scores, dict) or not all(
                 isinstance(record.scores.get(mode), dict) for mode in MODES):
             raise ValueError(f"scores must hold an object for each of {', '.join(MODES)}")
@@ -489,11 +499,7 @@ def summary_csv(records: list[RunRecord], mode: str | None = None) -> str:
     return _csv(summaries_from(records, mode))
 
 
-def write_reports(output_dir, records: list[RunRecord], mode: str | None = None) -> str:
-    """Write report.txt and summary.csv from one tally; return the report."""
+def render_reports(records: list[RunRecord], mode: str | None = None) -> tuple[str, str]:
+    """report.txt and summary.csv, rendered from one tally."""
     tally = _tally(records, mode)
-    text = _report(tally)
-    output_dir = Path(output_dir)
-    (output_dir / "report.txt").write_text(text, encoding="utf-8")
-    (output_dir / "summary.csv").write_text(_csv(tally.summaries), encoding="utf-8")
-    return text
+    return _report(tally), _csv(tally.summaries)

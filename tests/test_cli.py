@@ -236,6 +236,17 @@ class TestEvalAndReport:
         assert err.startswith("error:") and "manifest.json" in err
         assert not (tmp_path / "out").exists()
 
+    def test_repeated_test_id_is_refused_before_the_output_directory(self, tmp_path, capsys):
+        self.build_experiment(tmp_path)
+        path = tmp_path / "corpus" / "manifest.json"
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+        manifest["mazes"][1]["id"] = manifest["mazes"][0]["id"]
+        path.write_text(json.dumps(manifest), encoding="utf-8")
+        assert run_cli("--workdir", tmp_path, "eval", "--spec", "exp.json") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "repeats the id 'test-000'" in err
+        assert not (tmp_path / "out").exists()
+
     def test_record_without_both_scores_is_an_error_line(self, tmp_path, capsys):
         self.build_experiment(tmp_path)
         assert run_cli("--workdir", tmp_path, "eval", "--spec", "exp.json") == 0
@@ -340,6 +351,32 @@ class TestMockEval:
         calls = self.count_reads(monkeypatch)
         assert run_cli("--workdir", tmp_path, *self.MOCK_ARGS) == 0
         assert calls["from_json_line"] == 24 and calls["from_dict"] == 24
+
+    def test_report_csv_decodes_each_record_once(self, tmp_path, capsys, monkeypatch):
+        # report --csv renders both files from one tally, as mock-eval does.
+        assert run_cli("--workdir", tmp_path, *self.MOCK_ARGS) == 0
+        capsys.readouterr()
+        calls = self.count_reads(monkeypatch)
+        assert run_cli("--workdir", tmp_path, "report", "--log", "run/records.jsonl",
+                       "--csv", "re.csv") == 0
+        assert calls["from_json_line"] == 24 and calls["from_dict"] == 24
+        assert capsys.readouterr().out == (tmp_path / "run" / "report.txt").read_text()
+        assert (tmp_path / "re.csv").read_bytes() == (tmp_path / "run" / "summary.csv").read_bytes()
+
+    def test_reused_corpus_without_seed(self, tmp_path, capsys):
+        # A manifest config without a seed is compared only when --seed is given.
+        assert run_cli("--workdir", tmp_path, "gen", "--out", "c", "--n-test", 2) == 0
+        path = tmp_path / "c" / "manifest.json"
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+        del manifest["config"]["seed"]
+        path.write_text(json.dumps(manifest), encoding="utf-8")
+        capsys.readouterr()
+        assert run_cli("--workdir", tmp_path, "mock-eval", "--corpus", "c", "--out", "r",
+                       "--seed", 42) == 1
+        assert "seed None (flag: 42)" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+        assert run_cli("--workdir", tmp_path, "mock-eval", "--corpus", "c", "--out", "r") == 0
+        assert "Records: 12" in capsys.readouterr().out
 
     def test_reused_corpus_must_match_flags(self, tmp_path, capsys):
         assert run_cli("--workdir", tmp_path, "mock-eval", "--out", "run",

@@ -272,8 +272,12 @@ class TestCorpusIO:
         lambda m: m["mazes"][0].pop("id"),
         lambda m: m["mazes"][1].update(role="dev"),
         lambda m: m["mazes"].append(7),
+        lambda m: m["mazes"][1].update(id=m["mazes"][0]["id"]),
+        lambda m: m["mazes"][0].update(id=7),
+        lambda m: m["mazes"][0].update(file=7),
+        lambda m: m["mazes"][1].update(file=m["mazes"][0]["file"], sha256=m["mazes"][0]["sha256"]),
     ], ids=["no-mazes", "mazes-object", "config-list", "no-sha256", "no-id", "unknown-role",
-            "entry-number"])
+            "entry-number", "repeated-id", "integer-id", "integer-file", "repeated-file"])
     def test_malformed_manifest_refused(self, tmp_path, change):
         build_corpus(tmp_path / "c", GenConfig(seed=4), 1, 1)
         path = tmp_path / "c" / "manifest.json"

@@ -25,13 +25,13 @@ from mazenav.runner import (
     _load_records,
     load_records,
     load_spec,
+    render_reports,
     report_text,
     run,
     run_records,
     shots_for,
     summaries_from,
     summary_csv,
-    write_reports,
 )
 from mazenav.scoring import MODE_EXECUTION, MODE_ORACLE, RunScore
 from mazenav.simulator import FaultKind
@@ -590,6 +590,45 @@ class TestRecordLog:
         log_path.write_text("".join([*lines[:-1], bad.rstrip("\n")]), encoding="utf-8")
         assert len(load_records(log_path)) == len(lines) - 1
 
+    @pytest.mark.parametrize("change", [
+        {"repeat": "0"}, {"repeat": True}, {"repeat": 0.0}, {"maze_id": 7},
+        {"provider": None}, {"model": ["m"]}, {"scenario": 1},
+    ], ids=["repeat-str", "repeat-bool", "repeat-float", "maze-int", "provider-null",
+            "model-list", "scenario-int"])
+    def test_record_with_mistyped_key_is_corrupt(self, tmp_path, small_corpus, change):
+        corpus_dir, corpus = small_corpus
+        endpoint = write_script(tmp_path, corpus, oracle_answers(corpus))
+        spec = make_spec(tmp_path, corpus_dir, endpoint)
+        run(spec, clock=lambda: 0.0)
+        log_path = spec.output_dir / RECORDS_NAME
+        lines = log_path.read_text(encoding="utf-8").splitlines(keepends=True)
+        bad = json.dumps({**json.loads(lines[1]), **change}) + "\n"
+        log_path.write_text("".join([lines[0], bad, *lines[2:]]), encoding="utf-8")
+        field = next(iter(change))
+        with pytest.raises(SpecError, match=f"corrupt record log .* at line 2: .*{field}"):
+            load_records(log_path)
+        # As an unterminated last line it reads as torn, and is skipped.
+        log_path.write_text("".join([*lines[:-1], bad.rstrip("\n")]), encoding="utf-8")
+        assert len(load_records(log_path)) == len(lines) - 1
+
+    def test_resume_refuses_mistyped_repeat_before_any_call(self, tmp_path, small_corpus,
+                                                            monkeypatch):
+        # A string repeat would miss the resume check and its trial be paid for again.
+        corpus_dir, corpus = small_corpus
+        endpoint = write_script(tmp_path, corpus, oracle_answers(corpus))
+        spec = make_spec(tmp_path, corpus_dir, endpoint)
+        run(spec, clock=lambda: 0.0)
+        log_path = spec.output_dir / RECORDS_NAME
+        first, *rest = log_path.read_text(encoding="utf-8").splitlines(keepends=True)
+        edited = "".join([json.dumps({**json.loads(first), "repeat": "0"}) + "\n", *rest])
+        log_path.write_text(edited, encoding="utf-8")
+        calls = []
+        monkeypatch.setattr(gateway, "complete", lambda *args, **kw: calls.append(args))
+        with pytest.raises(SpecError, match="corrupt record log .* at line 1: repeat"):
+            run(spec, clock=lambda: 0.0)
+        assert calls == []
+        assert log_path.read_text(encoding="utf-8") == edited
+
     def test_load_records_empty(self, tmp_path):
         with pytest.raises(SpecError):
             load_records(tmp_path / RECORDS_NAME)
@@ -658,11 +697,10 @@ class TestReport:
             render(records, mode)
             assert len(decoded) == len(records)
         decoded.clear()
-        text = write_reports(tmp_path, records, mode)
+        text, csv_text = render_reports(records, mode)
         assert len(decoded) == len(records)
-        assert text == (tmp_path / "report.txt").read_text(encoding="utf-8")
         assert text == report_text(records, mode)
-        assert (tmp_path / "summary.csv").read_text(encoding="utf-8") == summary_csv(records, mode)
+        assert csv_text == summary_csv(records, mode)
 
     def test_csv_layout(self, tmp_path, small_corpus):
         records = self.run_mixed(tmp_path, small_corpus)

@@ -7,13 +7,15 @@ back. ``load_corpus`` is the only thing that parses corpus files; it checks
 the manifest's shape and every file's sha256, and parses every file on each
 load. Before it reads any file it checks every entry: ``id``, ``role``,
 ``file`` and ``sha256`` are strings, and no two entries share an id or a
-file, since runs, records and reports key each maze by its id.
+file, since runs, records and reports key each maze by its id. A manifest
+that is not JSON and a maze file that is not UTF-8 text raise
+``CorpusError`` naming the file. ``hashlib`` is imported on the first hash,
+so a command that neither writes nor reads a corpus does not load it.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -38,6 +40,8 @@ class Corpus:
 
 
 def _sha256(text: str) -> str:
+    import hashlib
+
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
@@ -75,7 +79,10 @@ def load_corpus(directory) -> Corpus:
     manifest_path = directory / MANIFEST_NAME
     if not manifest_path.exists():
         raise CorpusError(f"no {MANIFEST_NAME} in {directory}")
-    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    try:
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    except ValueError as err:  # not UTF-8, or not JSON
+        raise CorpusError(f"cannot read {manifest_path}: {err}") from None
     if not isinstance(manifest, dict):
         raise CorpusError(f"{manifest_path} is not a JSON object")
     if manifest.get("format") != FORMAT:
@@ -99,7 +106,11 @@ def load_corpus(directory) -> Corpus:
             values.add(entry[name])
     tests, shots = [], []
     for entry in manifest["mazes"]:
-        text = (directory / entry["file"]).read_text(encoding="utf-8")
+        path = directory / entry["file"]
+        try:
+            text = path.read_text(encoding="utf-8")
+        except UnicodeDecodeError as err:
+            raise CorpusError(f"{path} is not UTF-8 text: {err}") from None
         if _sha256(text) != entry["sha256"]:
             raise CorpusError(f"checksum mismatch for {entry['file']}")
         maze = parse(text)

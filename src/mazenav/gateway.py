@@ -9,9 +9,11 @@ scenario's solved examples are rendered once per run; the messages are the
 same as without it.
 
 HTTP goes through the standard library (``urllib.request``), imported on
-the first request. Its opener holds only the proxy, HTTP and HTTPS
-handlers, so every reply, a redirect or an error included, comes back as
-its status, and ``complete`` classifies it once. Proxies come from
+the first request, as ``hashlib`` is on the first prompt hash: every command
+imports this module, and most of them send and hash nothing. The opener
+holds only the proxy, HTTP and HTTPS handlers, so every reply, a redirect
+or an error included, comes back as its status, and ``complete``
+classifies it once. Proxies come from
 ``HTTP(S)_PROXY``, read at the first request, and ``NO_PROXY``; TLS is
 verified against the system CA store. The rate cap and the retry policy
 apply to every attempt.
@@ -24,7 +26,6 @@ completions are fully deterministic and need no credentials.
 from __future__ import annotations
 
 import functools
-import hashlib
 import json
 import math
 import os
@@ -244,6 +245,8 @@ class PromptCache:
 
 
 def prompt_hash(messages: list[ChatMessage]) -> str:
+    import hashlib
+
     digest = hashlib.sha256()
     for m in messages:
         digest.update(m.role.encode("utf-8"))

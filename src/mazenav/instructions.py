@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Union
 
 
 @dataclass(frozen=True)
@@ -53,7 +52,7 @@ class ExitAt:
         _check_cell(self.cell)
 
 
-Instruction = Union[StepIn, Turn, Forward, ExitAt]
+Instruction = StepIn | Turn | Forward | ExitAt
 
 
 def _check_cell(cell: int) -> None:

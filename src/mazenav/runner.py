@@ -26,17 +26,20 @@ tally: a single walk over the records that groups their scores in the
 report's mode and counts execution-mode first faults per provider.
 ``render_reports`` returns report.txt and summary.csv as strings from one
 tally; the CLI's eval, mock-eval and report all render through it, and only
-the CLI writes report files.
+the CLI writes report files. A record whose scoring mode is not one of
+``MODES``, or whose score in either mode lacks the shape ``RunScore`` stores,
+is a corrupt line too, since the report could not read it.
+
+Every command imports this module, so the thread pool (with ``logging``) is
+imported in ``run_records`` and ``csv`` in the CSV renderer, on first use.
 """
 
 from __future__ import annotations
 
-import csv
 import io
 import json
 import time
 from collections import Counter, defaultdict
-from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -169,9 +172,14 @@ class RunRecord:
             raise ValueError("provider, model, scenario and maze_id must be strings")
         if type(record.repeat) is not int:
             raise ValueError("repeat must be an integer")
+        # The report reads the scores in the recorded mode, or any other.
+        if record.scoring_mode not in MODES:
+            raise ValueError(f"scoring_mode must be one of {', '.join(MODES)}")
         if not isinstance(record.scores, dict) or not all(
-                isinstance(record.scores.get(mode), dict) for mode in MODES):
-            raise ValueError(f"scores must hold an object for each of {', '.join(MODES)}")
+                RunScore.is_stored(record.scores.get(mode)) for mode in MODES):
+            raise ValueError(f"scores must hold a score for each of {', '.join(MODES)}: a bool "
+                             "complete, a number partial, a null or [int, str] first_fault "
+                             "and a string mode")
         return record
 
 
@@ -321,6 +329,8 @@ def run(spec: ExperimentSpec, *, clock=time.time) -> list[MetricsSummary]:
 def run_records(spec: ExperimentSpec, *, clock=time.time) -> list[RunRecord]:
     """Execute all missing trials, append their records, return every record
     of the log: the ones loaded, then the ones written, in log order."""
+    from concurrent.futures import ThreadPoolExecutor
+
     corpus = load_corpus(spec.corpus_dir)
     check_corpus_size(spec, len(corpus.tests), len(corpus.shots))
     shot_solutions = [(maze, reference_solution(maze)) for _, maze in corpus.shots]
@@ -480,6 +490,8 @@ def _report(tally: _Tally) -> str:
 
 def _csv(summaries: list[MetricsSummary]) -> str:
     """CSV rows; a name holding a comma or quote is quoted, so it stays one field."""
+    import csv
+
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(("model", "scenario", "n", "complete_pct", "partial_pct"))

@@ -16,8 +16,8 @@ length, which keeps Complete <= Partial in every aggregate.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Sequence
 
 from .grid import Maze
 from .instructions import ParsedResponse
@@ -53,6 +53,19 @@ class RunScore:
             first_fault=(fault[0], fault[1]) if fault else None,
             mode=data["mode"],
         )
+
+    @staticmethod
+    def is_stored(data) -> bool:
+        """Whether ``data`` has the shape ``to_dict`` writes, so that
+        ``from_dict`` and the report can read it."""
+        if not isinstance(data, dict) or "first_fault" not in data:
+            return False
+        fault = data["first_fault"]
+        return (type(data.get("complete")) is bool
+                and type(data.get("partial")) in (int, float)
+                and (fault is None or (type(fault) is list and len(fault) == 2
+                                       and type(fault[0]) is int and isinstance(fault[1], str)))
+                and isinstance(data.get("mode"), str))
 
 
 @dataclass(frozen=True)

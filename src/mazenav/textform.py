@@ -248,7 +248,11 @@ def parse(text: str) -> Maze:
 
 def load_description(path) -> Maze:
     with open(path, encoding="utf-8") as fh:
-        return parse(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as err:
+            raise ValueError(f"{path} is not UTF-8 text: {err}") from None
+    return parse(text)
 
 
 def render_ascii(maze: Maze, path: list[int] | None = None) -> str:

@@ -1,8 +1,11 @@
 import hashlib
 import importlib
 import json
+import subprocess
+import sys
 import time
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -155,6 +158,12 @@ class TestErrors:
         assert run_cli("--workdir", tmp_path, "render", "--maze", "adir") == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["solve", "render", "serialize"])
+    def test_maze_file_not_utf8_names_its_file(self, tmp_path, capsys, command):
+        (tmp_path / "bad.maze").write_bytes(b"\xff\xfe maze\n")
+        assert run_cli("--workdir", tmp_path, command, "--maze", "bad.maze") == 1
+        assert f"error: {tmp_path / 'bad.maze'} is not UTF-8 text" in capsys.readouterr().err
+
     def test_usage_error_exit_code(self):
         with pytest.raises(SystemExit) as info:
             run_cli("frobnicate")
@@ -255,6 +264,22 @@ class TestEvalAndReport:
         record = json.loads(first)
         del record["scores"]["execution"]
         log_path.write_text("".join([json.dumps(record) + "\n", *rest]), encoding="utf-8")
+        capsys.readouterr()
+        assert run_cli("--workdir", tmp_path, "report", "--log", "out/records.jsonl") == 1
+        assert "error: corrupt record log" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit", [
+        lambda r: r.update(scoring_mode="exact"),
+        lambda r: r["scores"].update(execution={}),
+    ], ids=["unknown-mode", "empty-execution-score"])
+    def test_record_the_report_cannot_read_is_an_error_line(self, tmp_path, capsys, edit):
+        self.build_experiment(tmp_path)
+        assert run_cli("--workdir", tmp_path, "eval", "--spec", "exp.json") == 0
+        log_path = tmp_path / "out" / "records.jsonl"
+        records = [json.loads(line) for line in log_path.read_text(encoding="utf-8").splitlines()]
+        for record in records:
+            edit(record)
+        log_path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
         capsys.readouterr()
         assert run_cli("--workdir", tmp_path, "report", "--log", "out/records.jsonl") == 1
         assert "error: corrupt record log" in capsys.readouterr().err
@@ -363,6 +388,14 @@ class TestMockEval:
         assert capsys.readouterr().out == (tmp_path / "run" / "report.txt").read_text()
         assert (tmp_path / "re.csv").read_bytes() == (tmp_path / "run" / "summary.csv").read_bytes()
 
+    def test_manifest_not_json_is_an_error_line(self, tmp_path, capsys):
+        assert run_cli("--workdir", tmp_path, "gen", "--out", "c", "--n-test", 2) == 0
+        (tmp_path / "c" / "manifest.json").write_text("not json", encoding="utf-8")
+        capsys.readouterr()
+        assert run_cli("--workdir", tmp_path, "mock-eval", "--corpus", "c", "--out", "run") == 1
+        assert f"error: cannot read {tmp_path / 'c' / 'manifest.json'}" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     def test_reused_corpus_without_seed(self, tmp_path, capsys):
         # A manifest config without a seed is compared only when --seed is given.
         assert run_cli("--workdir", tmp_path, "gen", "--out", "c", "--n-test", 2) == 0
@@ -401,3 +434,22 @@ class TestMockEval:
         run_cli("--workdir", tmp_path, "mock-eval", "--out", "run",
                 "--n-test", 3, "--n-shot", 6, "--seed", 11)
         assert (tmp_path / "run" / "records.jsonl").read_bytes() == log
+
+
+class TestStartup:
+    # Each command is its own process, so every one pays for what the package
+    # imports: a module only some commands use loads where they use it, the
+    # HTTP modules at the first request, and the package does not use typing.
+    DEFERRED = ("concurrent.futures", "logging", "csv", "hashlib", "_hashlib", "typing",
+                "urllib.request", "http.client", "ssl", "email")
+
+    def test_import_loads_no_deferred_module(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        probe = ("import sys; sys.path.insert(0, sys.argv[1]); before = set(sys.modules); "
+                 "import mazenav.cli; print(*sorted(set(sys.modules) - before))")
+        out = subprocess.run([sys.executable, "-I", "-c", probe, src], check=True,
+                             capture_output=True, text=True).stdout
+        added = out.split()
+        assert "mazenav.cli" in added
+        assert [m for m in added
+                if any(m == d or m.startswith(d + ".") for d in self.DEFERRED)] == []

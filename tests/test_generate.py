@@ -287,6 +287,20 @@ class TestCorpusIO:
         with pytest.raises(CorpusError, match="manifest.json"):
             load_corpus(tmp_path / "c")
 
+    @pytest.mark.parametrize("content", [b"not json", b'{"format": "\xff"}'],
+                             ids=["not-json", "not-utf8"])
+    def test_unreadable_manifest_names_its_file(self, tmp_path, content):
+        build_corpus(tmp_path / "c", GenConfig(seed=4), 1, 1)
+        (tmp_path / "c" / "manifest.json").write_bytes(content)
+        with pytest.raises(CorpusError, match="manifest.json"):
+            load_corpus(tmp_path / "c")
+
+    def test_maze_file_not_utf8_names_its_file(self, tmp_path):
+        build_corpus(tmp_path / "c", GenConfig(seed=4), 1, 1)
+        (tmp_path / "c" / "shot-000.maze").write_bytes(b"\xff\xfe maze")
+        with pytest.raises(CorpusError, match="shot-000.maze is not UTF-8"):
+            load_corpus(tmp_path / "c")
+
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(CorpusError):
             load_corpus(tmp_path)

@@ -574,21 +574,30 @@ class TestRecordLog:
         with pytest.raises(SpecError):
             _load_records(log_path)
 
-    @pytest.mark.parametrize("scores", [{MODE_ORACLE: {}}, "x", {MODE_ORACLE: {}, MODE_EXECUTION: 1}])
-    def test_record_without_both_scores_is_corrupt(self, tmp_path, small_corpus, scores):
+    @staticmethod
+    def assert_second_record_corrupt(tmp_path, small_corpus, edit, reason):
+        """With ``edit`` applied to its second record, a run's log is corrupt at
+        line 2 for ``reason``; as an unterminated last line it reads as torn,
+        and is skipped."""
         corpus_dir, corpus = small_corpus
         endpoint = write_script(tmp_path, corpus, oracle_answers(corpus))
         spec = make_spec(tmp_path, corpus_dir, endpoint)
         run(spec, clock=lambda: 0.0)
         log_path = spec.output_dir / RECORDS_NAME
         lines = log_path.read_text(encoding="utf-8").splitlines(keepends=True)
-        bad = json.dumps({**json.loads(lines[1]), "scores": scores}) + "\n"
+        record = json.loads(lines[1])
+        edit(record)
+        bad = json.dumps(record) + "\n"
         log_path.write_text("".join([lines[0], bad, *lines[2:]]), encoding="utf-8")
-        with pytest.raises(SpecError, match="corrupt record log .* at line 2: scores"):
+        with pytest.raises(SpecError, match=f"corrupt record log .* at line 2: {reason}"):
             load_records(log_path)
-        # As an unterminated last line it reads as torn, and is skipped.
         log_path.write_text("".join([*lines[:-1], bad.rstrip("\n")]), encoding="utf-8")
         assert len(load_records(log_path)) == len(lines) - 1
+
+    @pytest.mark.parametrize("scores", [{MODE_ORACLE: {}}, "x", {MODE_ORACLE: {}, MODE_EXECUTION: 1}])
+    def test_record_without_both_scores_is_corrupt(self, tmp_path, small_corpus, scores):
+        self.assert_second_record_corrupt(tmp_path, small_corpus,
+                                          lambda r: r.update(scores=scores), "scores")
 
     @pytest.mark.parametrize("change", [
         {"repeat": "0"}, {"repeat": True}, {"repeat": 0.0}, {"maze_id": 7},
@@ -596,20 +605,31 @@ class TestRecordLog:
     ], ids=["repeat-str", "repeat-bool", "repeat-float", "maze-int", "provider-null",
             "model-list", "scenario-int"])
     def test_record_with_mistyped_key_is_corrupt(self, tmp_path, small_corpus, change):
-        corpus_dir, corpus = small_corpus
-        endpoint = write_script(tmp_path, corpus, oracle_answers(corpus))
-        spec = make_spec(tmp_path, corpus_dir, endpoint)
-        run(spec, clock=lambda: 0.0)
-        log_path = spec.output_dir / RECORDS_NAME
-        lines = log_path.read_text(encoding="utf-8").splitlines(keepends=True)
-        bad = json.dumps({**json.loads(lines[1]), **change}) + "\n"
-        log_path.write_text("".join([lines[0], bad, *lines[2:]]), encoding="utf-8")
-        field = next(iter(change))
-        with pytest.raises(SpecError, match=f"corrupt record log .* at line 2: .*{field}"):
-            load_records(log_path)
-        # As an unterminated last line it reads as torn, and is skipped.
-        log_path.write_text("".join([*lines[:-1], bad.rstrip("\n")]), encoding="utf-8")
-        assert len(load_records(log_path)) == len(lines) - 1
+        self.assert_second_record_corrupt(tmp_path, small_corpus, lambda r: r.update(change),
+                                          f".*{next(iter(change))}")
+
+    @pytest.mark.parametrize("reason, edit", [
+        ("scoring_mode", lambda r: r.update(scoring_mode="exact")),
+        ("scoring_mode", lambda r: r.update(scoring_mode=None)),
+        ("scores", lambda r: r["scores"].update({MODE_EXECUTION: {}})),
+        ("scores", lambda r: r["scores"][MODE_EXECUTION].pop("first_fault")),
+        ("scores", lambda r: r["scores"][MODE_ORACLE].update(complete="true")),
+        ("scores", lambda r: r["scores"][MODE_ORACLE].update(complete=1)),
+        ("scores", lambda r: r["scores"][MODE_ORACLE].update(partial="1.0")),
+        ("scores", lambda r: r["scores"][MODE_ORACLE].update(partial=True)),
+        ("scores", lambda r: r["scores"][MODE_EXECUTION].update(first_fault=[1])),
+        ("scores", lambda r: r["scores"][MODE_EXECUTION].update(first_fault=["1", "OffGrid"])),
+        ("scores", lambda r: r["scores"][MODE_EXECUTION].update(first_fault=[True, "OffGrid"])),
+        ("scores", lambda r: r["scores"][MODE_EXECUTION].update(first_fault=[1, 2])),
+        ("scores", lambda r: r["scores"][MODE_EXECUTION].update(first_fault="OffGrid")),
+        ("scores", lambda r: r["scores"][MODE_EXECUTION].update(mode=None)),
+    ], ids=["mode-unknown", "mode-null", "execution-empty", "no-first-fault", "complete-str",
+            "complete-int", "partial-str", "partial-bool", "fault-short", "fault-step-str",
+            "fault-step-bool", "fault-kind-int", "fault-str", "mode-in-score-null"])
+    def test_record_with_unreadable_mode_or_score_is_corrupt(self, tmp_path, small_corpus,
+                                                             reason, edit):
+        # The report would stop on these with a KeyError, or misread them.
+        self.assert_second_record_corrupt(tmp_path, small_corpus, edit, reason)
 
     def test_resume_refuses_mistyped_repeat_before_any_call(self, tmp_path, small_corpus,
                                                             monkeypatch):

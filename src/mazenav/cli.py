@@ -17,20 +17,19 @@ from pathlib import Path
 from .corpus import CorpusError, build_corpus, load_corpus
 from .gateway import DEFAULT_SCENARIOS, GatewayError, ProviderConfig
 from .generate import GenConfig, GenerationError, generate
-from .instructions import parse_response, render_sequence
 from .runner import (
     RECORDS_NAME,
     ExperimentSpec,
     check_corpus_size,
+    judge,
     load_records,
     load_spec,
     render_reports,
     run_records,
 )
-from .scoring import MODES, MODE_ORACLE, score_run
-from .simulator import execute
+from .scoring import MODES, MODE_ORACLE
 from .solver import reference_solution, solution_text
-from .textform import load_description, render_ascii, serialize
+from .textform import load_description, read_utf8, render_ascii, serialize
 
 # MazeError, MalformedDescription, CorpusError, UnsolvableMazeError and
 # SpecError all subclass ValueError.
@@ -98,11 +97,9 @@ def cmd_serialize(args) -> int:
 
 def cmd_verify(args) -> int:
     maze = load_description(args.workdir / args.maze)
-    answer = (args.workdir / args.answer).read_text(encoding="utf-8")
-    parsed = parse_response(answer)
-    usable, _ = parsed.scored_prefix()
-    trace = execute(maze, usable, lenient_exit=args.lenient_exit)
-    score = score_run(maze, parsed, args.mode, lenient_exit=args.lenient_exit, trace=trace)
+    answer = read_utf8(args.workdir / args.answer)
+    parsed, trace, scores = judge(maze, answer, reference_solution(maze), args.lenient_exit)
+    score = scores[args.mode]
     print(f"complete={str(score.complete).lower()} partial={score.partial:.3f}")
     if score.first_fault:
         print(f"first fault: step {score.first_fault[0]} ({score.first_fault[1]})")

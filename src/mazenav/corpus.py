@@ -113,7 +113,10 @@ def load_corpus(directory) -> Corpus:
             raise CorpusError(f"{path} is not UTF-8 text: {err}") from None
         if _sha256(text) != entry["sha256"]:
             raise CorpusError(f"checksum mismatch for {entry['file']}")
-        maze = parse(text)
+        try:
+            maze = parse(text)
+        except ValueError as err:
+            raise CorpusError(f"{path}: {err}") from None
         target = tests if entry["role"] == "test" else shots
         target.append((entry["id"], maze))
     return Corpus(tuple(tests), tuple(shots), manifest["config"])

@@ -9,14 +9,15 @@ punctuation stripped; see docs/instruction_grammar.md for the EBNF):
     Exit|Leave [the maze] from|at|through position N -> ExitAt(N)
 
 Whole responses are parsed line by line; lines that match nothing are kept
-as rejected lines with a reason, never raised, so scoring can decide how to
-treat them.
+as rejected lines with a reason, never raised. The same pass decides the
+scored prefix: the first rejected line after an instruction cuts it, once
+another instruction follows, so leading and trailing prose never does.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -156,33 +157,19 @@ class RejectedLine:
 
 @dataclass(frozen=True)
 class ParsedResponse:
-    """All recognized instructions plus every non-blank line that failed.
+    """All recognized instructions plus every non-blank line that failed;
+    ``prefix_len`` counts the instructions before the first rejected line
+    inside the instruction block (all of them if none is)."""
 
-    ``instruction_lines`` holds the 1-based source line of each instruction,
-    which lets scoring locate rejected lines inside the instruction block.
-    """
-
-    instructions: tuple = ()
-    instruction_lines: tuple = ()
-    rejected_lines: tuple = field(default_factory=tuple)
+    instructions: tuple
+    rejected_lines: tuple
+    prefix_len: int
 
     def scored_prefix(self) -> tuple[list[Instruction], bool]:
-        """Instructions usable for scoring, stopping at the first rejected
-        line strictly inside the recognized block. Returns (prefix, truncated).
-        """
-        if not self.instructions:
-            return [], False
-        first, last = self.instruction_lines[0], self.instruction_lines[-1]
-        interior = [r.line_no for r in self.rejected_lines if first < r.line_no < last]
-        if not interior:
-            return list(self.instructions), False
-        cutoff = min(interior)
-        usable = [
-            instr
-            for instr, line_no in zip(self.instructions, self.instruction_lines)
-            if line_no < cutoff
-        ]
-        return usable, True
+        """Instructions usable for scoring, and whether a rejected line inside
+        the recognized block cut them short: (prefix, truncated)."""
+        n = self.prefix_len
+        return list(self.instructions[:n]), n < len(self.instructions)
 
 
 def parse_response(text: str) -> ParsedResponse:
@@ -192,17 +179,19 @@ def parse_response(text: str) -> ParsedResponse:
     any leading/trailing prose) are recorded per line with a reason.
     """
     instructions: list[Instruction] = []
-    lines: list[int] = []
     rejected: list[RejectedLine] = []
+    gap = None  # instructions read before the first rejected line after one
     for line_no, raw in enumerate(text.splitlines(), start=1):
         if not raw.strip():
             continue
         try:
             instructions.append(parse_line(raw))
-            lines.append(line_no)
         except UnparseableLine as err:
             rejected.append(RejectedLine(line_no, raw.strip(), err.reason))
-    return ParsedResponse(tuple(instructions), tuple(lines), tuple(rejected))
+            if gap is None and instructions:
+                gap = len(instructions)
+    return ParsedResponse(tuple(instructions), tuple(rejected),
+                          len(instructions) if gap is None else gap)
 
 
 _KINDS = {"step_in": StepIn, "forward": Forward, "exit_at": ExitAt}

@@ -8,27 +8,31 @@ prompt of each scenario and test maze once, whatever the providers and
 repeats, into one table that the resume check, the calls and the records
 read. The resume check looks up each loaded record of the run's providers
 and scenarios there and refuses a log that holds one made from another
-prompt or for a maze the corpus lacks. Worker threads make only the
-provider calls; the submitting thread parses, executes and scores each
-reply and writes its record, in planning order, which keeps the log
-byte-stable regardless of scheduling. A missing or rejected credential
-(AuthError), a request the provider refuses (RequestRejected), any other
-exception but a GatewayError, or an interrupt cancels the calls still
-queued and propagates; the records written before it stay.
+prompt, for a maze the corpus lacks, or by another model under one of the
+spec's provider names. Worker threads make only the provider calls; the
+submitting thread judges each reply and writes its record, in planning
+order, which keeps the log byte-stable regardless of scheduling. ``judge``,
+the one path from a reply to its scores (the CLI's verify calls it too),
+parses the reply, executes its scored prefix and scores that execution in
+each mode. A missing or rejected credential (AuthError), a request the
+provider refuses (RequestRejected), any other exception but a
+GatewayError, or an interrupt cancels the calls still queued and
+propagates; the records written before it stay.
 
 The log is read once per run: the read reports where its whole lines end,
 and the handle that appends cuts a torn last line or ends an unterminated
 one. A record whose key fields have the wrong types is a corrupt line, so a
 resume never pays for its trial again. ``run_records`` returns every record
 of the log, the loaded ones and the new ones; ``run()`` returns their
-summaries. The summaries, report.txt and summary.csv all render from one
-tally: a single walk over the records that groups their scores in the
-report's mode and counts execution-mode first faults per provider.
-``render_reports`` returns report.txt and summary.csv as strings from one
-tally; the CLI's eval, mock-eval and report all render through it, and only
-the CLI writes report files. A record whose scoring mode is not one of
-``MODES``, or whose score in either mode lacks the shape ``RunScore`` stores,
-is a corrupt line too, since the report could not read it.
+summaries. The summaries, and the report.txt and summary.csv strings that
+``render_reports`` returns to the CLI's eval, mock-eval and report (only the
+CLI writes report files), render from one tally: a single walk over the
+records that groups their scores in the report's mode and counts
+execution-mode first faults per provider. Rows are keyed by provider name,
+so a log in which one name holds two models is refused. A record whose
+scoring mode is not one of ``MODES``, or whose score in either mode lacks
+the shape ``RunScore`` stores, is a corrupt line too, since the report could
+not read it.
 
 Every command imports this module, so the thread pool (with ``logging``) is
 imported in ``run_records`` and ``csv`` in the CSV renderer, on first use.
@@ -58,7 +62,7 @@ from .gateway import (
     prompt_hash,
 )
 from .grid import Maze
-from .instructions import instruction_to_dict, parse_response
+from .instructions import ParsedResponse, instruction_to_dict, parse_response
 from .scoring import MODES, MODE_EXECUTION, MODE_ORACLE, MetricsSummary, RunScore, score_run, summarize
 from .simulator import ExecutionTrace, Fault, FaultKind, execute
 from .solver import Solution, reference_solution
@@ -238,6 +242,17 @@ def load_records(path) -> list[RunRecord]:
     return records
 
 
+def judge(maze: Maze, text: str, reference: Solution,
+          lenient_exit: bool) -> tuple[ParsedResponse, ExecutionTrace, dict[str, RunScore]]:
+    """The parsed reply, the execution of its scored prefix, and its score in
+    each mode: the one path from a reply's text to its scores."""
+    parsed = parse_response(text)
+    trace = execute(maze, parsed.scored_prefix()[0], lenient_exit=lenient_exit)
+    return parsed, trace, {mode: score_run(maze, parsed, mode, reference=reference,
+                                           lenient_exit=lenient_exit, trace=trace)
+                           for mode in MODES}
+
+
 def _run_trial(
     spec: ExperimentSpec,
     provider: ProviderConfig,
@@ -250,34 +265,22 @@ def _run_trial(
     call: Future,
     clock,
 ) -> RunRecord:
-    """Wait for the trial's provider call, then parse, execute and score its
-    reply into the record; ``digest`` is the prompt's hash. A failed call
-    scores 0 in every mode and stays in n; a missing or rejected credential,
-    or a request the provider refuses, stops the run instead."""
+    """Wait for the trial's provider call, then judge its reply into the
+    record; ``digest`` is the prompt's hash. A failed call scores 0 in every
+    mode and stays in n; a missing or rejected credential, or a request the
+    provider refuses, stops the run instead."""
     try:
         completion = call.result()
     except (AuthError, RequestRejected):
         raise
     except GatewayError as err:
         completion = gateway.Completion("", 0, 0, 0.0, 0)
-        instructions, rejected = [], []
         fault = FaultKind.PROVIDER_ERROR
-        trace = ExecutionTrace((), 0, Fault(fault, str(err))).to_dict()
-        scores = {mode: RunScore(False, 0.0, (0, fault.value), mode).to_dict() for mode in MODES}
+        parsed = ParsedResponse((), (), 0)
+        trace = ExecutionTrace((), 0, Fault(fault, str(err)))
+        scores = {mode: RunScore(False, 0.0, (0, fault.value), mode) for mode in MODES}
     else:
-        parsed = parse_response(completion.text)
-        usable, _ = parsed.scored_prefix()
-        executed = execute(maze, usable, lenient_exit=spec.lenient_exit)
-        instructions = [instruction_to_dict(i) for i in parsed.instructions]
-        rejected = [[r.line_no, r.text, r.reason] for r in parsed.rejected_lines]
-        trace = executed.to_dict()
-        scores = {
-            mode: score_run(
-                maze, parsed, mode, reference=reference, lenient_exit=spec.lenient_exit,
-                trace=executed,
-            ).to_dict()
-            for mode in MODES
-        }
+        parsed, trace, scores = judge(maze, completion.text, reference, spec.lenient_exit)
     return RunRecord(
         experiment=spec.experiment_id,
         provider=provider.name,
@@ -287,10 +290,10 @@ def _run_trial(
         repeat=repeat,
         prompt_hash=digest,
         response=completion.text,
-        instructions=instructions,
-        rejected=rejected,
-        trace=trace,
-        scores=scores,
+        instructions=[instruction_to_dict(i) for i in parsed.instructions],
+        rejected=[[r.line_no, r.text, r.reason] for r in parsed.rejected_lines],
+        trace=trace.to_dict(),
+        scores={mode: score.to_dict() for mode, score in scores.items()},
         scoring_mode=spec.scoring_mode,
         tokens_in=completion.tokens_in,
         tokens_out=completion.tokens_out,
@@ -302,16 +305,20 @@ def _run_trial(
 
 def _check_resumed(spec, records, prompts, log_path) -> None:
     """Refuse to resume a log whose records of this spec's providers and
-    scenarios were made from other prompts: another corpus, shots or system
-    prompt. ``prompts`` maps (scenario, maze_id) to the run's (messages,
-    hash). Records of other providers or scenarios are left as they are."""
-    providers = {(p.name, p.model) for p in spec.providers}
+    scenarios were made from other prompts (another corpus, shots or system
+    prompt), or that holds a record of one of its provider names made by
+    another model. ``prompts`` maps (scenario, maze_id) to the run's
+    (messages, hash). Other providers' records are left as they are."""
+    models = {p.name: p.model for p in spec.providers}
     scenarios = {sc.name for sc in spec.scenarios}
     for record in records:
-        if record.scenario not in scenarios or (record.provider, record.model) not in providers:
-            continue
+        model = models.get(record.provider, record.model)
         prompt = prompts.get((record.scenario, record.maze_id))
-        if prompt is None:
+        if record.model != model:
+            problem = f"is for model {record.model!r}, not {model!r}"
+        elif record.scenario not in scenarios or record.provider not in models:
+            continue
+        elif prompt is None:
             problem = f"is for maze {record.maze_id!r}, which the corpus does not hold"
         elif prompt[1] != record.prompt_hash:
             problem = "was made from another prompt"
@@ -418,7 +425,11 @@ def _tally(records: list[RunRecord], mode: str | None) -> _Tally:
     groups: dict[tuple[str, str], list[RunScore]] = defaultdict(list)
     faults: dict[str, Counter] = defaultdict(Counter)
     solved: dict[str, list[bool]] = defaultdict(list)
+    models: dict[str, str] = {}
     for record in records:
+        if models.setdefault(record.provider, record.model) != record.model:
+            raise SpecError(f"records of provider {record.provider!r} mix models "
+                            f"{models[record.provider]!r} and {record.model!r}")
         score = record.score(mode)
         groups[record.provider, record.scenario].append(score)
         solved[record.maze_id].append(score.complete)

@@ -246,13 +246,23 @@ def parse(text: str) -> Maze:
     return maze
 
 
-def load_description(path) -> Maze:
+def read_utf8(path) -> str:
+    """The file's text; a file that is not UTF-8 raises ValueError naming it."""
     with open(path, encoding="utf-8") as fh:
         try:
-            text = fh.read()
+            return fh.read()
         except UnicodeDecodeError as err:
             raise ValueError(f"{path} is not UTF-8 text: {err}") from None
-    return parse(text)
+
+
+def load_description(path) -> Maze:
+    """Parse a description file; an error keeps its type and names the file."""
+    text = read_utf8(path)
+    try:
+        return parse(text)
+    except ValueError as err:
+        err.args = (f"{path}: {err}",)
+        raise
 
 
 def render_ascii(maze: Maze, path: list[int] | None = None) -> str:

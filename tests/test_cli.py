@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from mazenav.cli import main
-from mazenav.textform import serialize
+from mazenav.textform import load_description, serialize
 
 
 @pytest.fixture
@@ -142,6 +142,46 @@ class TestVerify:
                        "--answer", "answer.txt", "--mode", "execution") == 0
         assert "complete=true" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("mode", ["oracle-match", "execution"])
+    @pytest.mark.parametrize("edit", ["whole", "first-two", "junk-inside", "wrong-turn",
+                                      "prose-around", "empty"])
+    def test_prints_what_the_record_stores(self, tmp_path, capsys, mode, edit):
+        from mazenav.solver import solution_text
+
+        assert run_cli("--workdir", tmp_path, "gen", "--out", "c", "--n-test", 1) == 0
+        lines = solution_text(load_description(tmp_path / "c" / "test-000.maze")).splitlines()
+        reply = "\n".join({
+            "whole": lines,
+            "first-two": lines[:2],
+            "junk-inside": lines[:2] + ["I am not sure here."] + lines[2:],
+            "wrong-turn": [line.replace("left", "LEFT").replace("right", "left")
+                           .replace("LEFT", "right") for line in lines],
+            "prose-around": ["Here is the route:"] + lines + ["Done."],
+            "empty": [],
+        }[edit])
+        (tmp_path / "reply.txt").write_text(reply, encoding="utf-8")
+        (tmp_path / "script.json").write_text(json.dumps({"test-000|zero-shot": reply}),
+                                              encoding="utf-8")
+        (tmp_path / "exp.json").write_text(json.dumps({
+            "corpus": "c", "output": "out", "scenarios": [{"name": "zero-shot", "k": 0}],
+            "providers": [{"name": "p", "model": "m",
+                           "endpoint": f"mock:{tmp_path / 'script.json'}"}],
+        }), encoding="utf-8")
+        assert run_cli("--workdir", tmp_path, "eval", "--spec", "exp.json") == 0
+        record = json.loads((tmp_path / "out" / "records.jsonl").read_text(encoding="utf-8"))
+        assert record["response"] == reply
+        capsys.readouterr()
+        assert run_cli("--workdir", tmp_path, "verify", "--maze", "c/test-000.maze",
+                       "--answer", "reply.txt", "--mode", mode) == 0
+        score = record["scores"][mode]
+        expected = [f"complete={str(score['complete']).lower()} partial={score['partial']:.3f}"]
+        if score["first_fault"]:
+            step, kind = score["first_fault"]
+            expected.append(f"first fault: step {step} ({kind})")
+        out = capsys.readouterr().out.splitlines()
+        assert out[:len(expected)] == expected
+        assert sum(line.startswith("first fault") for line in out) == len(expected) - 1
+
 
 class TestErrors:
     def test_missing_maze_file(self, tmp_path, capsys):
@@ -163,6 +203,21 @@ class TestErrors:
         (tmp_path / "bad.maze").write_bytes(b"\xff\xfe maze\n")
         assert run_cli("--workdir", tmp_path, command, "--maze", "bad.maze") == 1
         assert f"error: {tmp_path / 'bad.maze'} is not UTF-8 text" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["solve", "render", "serialize", "verify"])
+    def test_malformed_description_names_its_file(self, tmp_path, capsys, command):
+        (tmp_path / "bad.maze").write_text("not a maze\n", encoding="utf-8")
+        (tmp_path / "answer.txt").write_text("Turn left\n", encoding="utf-8")
+        answer = ("--answer", "answer.txt") if command == "verify" else ()
+        assert run_cli("--workdir", tmp_path, command, "--maze", "bad.maze", *answer) == 1
+        assert capsys.readouterr().err == (f"error: {tmp_path / 'bad.maze'}: line 1: expected "
+                                           "description header and size line: 'not a maze'\n")
+
+    def test_answer_file_not_utf8_names_its_file(self, tmp_path, m0_file, capsys):
+        (tmp_path / "answer.txt").write_bytes(b"\xff\xfe")
+        assert run_cli("--workdir", tmp_path, "verify", "--maze", "m0.maze",
+                       "--answer", "answer.txt") == 1
+        assert f"error: {tmp_path / 'answer.txt'} is not UTF-8 text" in capsys.readouterr().err
 
     def test_usage_error_exit_code(self):
         with pytest.raises(SystemExit) as info:
@@ -395,6 +450,32 @@ class TestMockEval:
         assert run_cli("--workdir", tmp_path, "mock-eval", "--corpus", "c", "--out", "run") == 1
         assert f"error: cannot read {tmp_path / 'c' / 'manifest.json'}" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
+
+    def test_malformed_maze_file_is_an_error_line(self, tmp_path, capsys):
+        assert run_cli("--workdir", tmp_path, "gen", "--out", "c", "--n-test", 2) == 0
+        path = tmp_path / "c" / "manifest.json"
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+        (tmp_path / "c" / "test-001.maze").write_text("not a maze\n", encoding="utf-8")
+        manifest["mazes"][1]["sha256"] = hashlib.sha256(b"not a maze\n").hexdigest()
+        path.write_text(json.dumps(manifest), encoding="utf-8")
+        capsys.readouterr()
+        assert run_cli("--workdir", tmp_path, "mock-eval", "--corpus", "c", "--out", "run") == 1
+        assert capsys.readouterr().err == (f"error: {tmp_path / 'c' / 'test-001.maze'}: line 1: "
+                                           "expected description header and size line: "
+                                           "'not a maze'\n")
+        assert not (tmp_path / "run").exists()
+
+    def test_seeded_run_bytes_pinned(self, tmp_path, capsys):
+        # The digests the CI workflow checks; a change to any of these bytes
+        # changes records, prompts or reports.
+        assert run_cli("--workdir", tmp_path, "mock-eval", "--out", "run", "--seed", 4242) == 0
+        digests = {name: hashlib.sha256((tmp_path / "run" / name).read_bytes()).hexdigest()
+                   for name in ("records.jsonl", "report.txt", "summary.csv")}
+        assert digests == {
+            "records.jsonl": "56494a75e98086084d4571f51cf29206669c5b400d1e7ffb67dbbdce6854ce7c",
+            "report.txt": "53fd801aad64b244f3e9332cd8786ffc7d873d870ba232f9b5dc281dbb94e224",
+            "summary.csv": "f22720551b4730153a120122c785d08370c5d8ea6664e32a47db3551ccc6571f",
+        }
 
     def test_reused_corpus_without_seed(self, tmp_path, capsys):
         # A manifest config without a seed is compared only when --seed is given.

@@ -301,6 +301,16 @@ class TestCorpusIO:
         with pytest.raises(CorpusError, match="shot-000.maze is not UTF-8"):
             load_corpus(tmp_path / "c")
 
+    def test_malformed_maze_file_names_its_file(self, tmp_path):
+        build_corpus(tmp_path / "c", GenConfig(seed=4), 1, 1)
+        path = tmp_path / "c" / "manifest.json"
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+        (tmp_path / "c" / "shot-000.maze").write_text("not a maze\n", encoding="utf-8")
+        manifest["mazes"][1]["sha256"] = corpus._sha256("not a maze\n")
+        path.write_text(json.dumps(manifest), encoding="utf-8")
+        with pytest.raises(CorpusError, match="shot-000.maze: line 1: expected description"):
+            load_corpus(tmp_path / "c")
+
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(CorpusError):
             load_corpus(tmp_path)

@@ -1,3 +1,4 @@
+import random
 import re
 import time
 
@@ -176,6 +177,44 @@ class TestScoredPrefix:
         usable, truncated = parse_response("").scored_prefix()
         assert usable == []
         assert truncated is False
+
+    @staticmethod
+    def line_number_rule(text: str) -> tuple[list, bool]:
+        """The rule scored_prefix once applied to stored line numbers: cut at
+        the first rejected line strictly between the first and the last
+        instruction line."""
+        instrs, instr_lines, rejected_lines = [], [], []
+        for line_no, raw in enumerate(text.splitlines(), start=1):
+            if not raw.strip():
+                continue
+            try:
+                instrs.append(parse_line(raw))
+                instr_lines.append(line_no)
+            except UnparseableLine:
+                rejected_lines.append(line_no)
+        if not instrs:
+            return [], False
+        interior = [n for n in rejected_lines if instr_lines[0] < n < instr_lines[-1]]
+        if not interior:
+            return instrs, False
+        return [i for i, n in zip(instrs, instr_lines) if n < min(interior)], True
+
+    def test_matches_the_line_number_rule(self):
+        rng = random.Random(23)
+        steps = ["Turn left", "Turn right", "Walk forward to position 3",
+                 "1. Start facing into the maze entrance and step into position 0",
+                 "Exit the maze from position 4"]
+        junk = ["???", "Then I think:", "Turn around", "Walk forward", "- note"]
+        cut = 0
+        for _ in range(3000):
+            body = [rng.choice(rng.choice((steps, steps, junk, ["", "   "])))
+                    for _ in range(rng.randrange(12))]
+            text = "\n".join(["Here is my route:"] * rng.randrange(2) + body
+                             + ["Hope that helps."] * rng.randrange(2))
+            expected = self.line_number_rule(text)
+            assert parse_response(text).scored_prefix() == expected, text
+            cut += expected[1]
+        assert cut > 500  # the draw exercises truncation, not only clean replies
 
 
 def test_render_sequence_is_lines(m0_solution):

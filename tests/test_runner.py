@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import threading
 import time
@@ -185,6 +186,22 @@ class TestRun:
         assert threads["parse_response"] == threads["prompt_hash"] == [here] * trials
         assert threads["score_run"] == [here] * 2 * trials  # one score per mode
 
+    def test_each_reply_judged_once(self, tmp_path, small_corpus, monkeypatch):
+        # One parse and one execution per reply, and one score per mode.
+        corpus_dir, corpus = small_corpus
+        endpoint = write_script(tmp_path, corpus, oracle_answers(corpus))
+        spec = make_spec(tmp_path, corpus_dir, endpoint)
+        calls = defaultdict(int)
+        for name in ("judge", "parse_response", "execute", "score_run"):
+            def counted(*args, real=getattr(runner, name), name=name, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            monkeypatch.setattr(runner, name, counted)
+        run_records(spec, clock=lambda: 0.0)
+        trials = 3 * len(corpus.tests)
+        assert calls == {"judge": trials, "parse_response": trials, "execute": trials,
+                         "score_run": 2 * trials}
+
     def test_prompt_error_raises_before_any_call(self, tmp_path, small_corpus, monkeypatch):
         corpus_dir, corpus = small_corpus
         endpoint = write_script(tmp_path, corpus, oracle_answers(corpus))
@@ -345,6 +362,27 @@ class TestResumeIntegrity:
         run(other, clock=lambda: 0.0)
         assert log_path.read_text(encoding="utf-8").startswith(kept)
         self.assert_refused(spec, log_path, monkeypatch, "was made from another prompt")
+
+    def test_provider_re_pointed_to_another_model(self, tmp_path, small_corpus, monkeypatch):
+        # The report groups records by provider name, so a name re-pointed to
+        # another model would merge two models into one row. The log is not
+        # mended either: its torn tail stays.
+        corpus_dir, corpus = small_corpus
+        spec, log_path = self.cut_run(tmp_path, corpus_dir, corpus)
+        with open(log_path, "a", encoding="utf-8") as log:
+            log.write('{"torn')
+        endpoint = spec.providers[0].endpoint
+        for providers in (
+            [ProviderConfig(name="mock-a", model="mock-a-v2", endpoint=endpoint)],
+            [ProviderConfig(name="mock-b", model="mock-b-v1", endpoint=endpoint),
+             ProviderConfig(name="mock-a", model="mock-a-v2", endpoint=endpoint)],
+        ):
+            self.assert_refused(dataclasses.replace(spec, providers=providers,
+                                                    scenarios=[Scenario("one-shot", 1)]),
+                                log_path, monkeypatch,
+                                r"record \('mock-a', 'mock-a-v1', 'zero-shot', 'test-000', 0\) "
+                                r".* is for model 'mock-a-v1', not 'mock-a-v2'; use a fresh "
+                                r"output directory")
 
 
 class TestFailFast:
@@ -696,6 +734,15 @@ class TestReport:
             summaries_from(mutated)
         # explicit mode lifts the refusal
         assert summaries_from(mutated, MODE_ORACLE)
+
+    def test_two_models_under_one_provider_refused(self, tmp_path, small_corpus):
+        records = self.run_mixed(tmp_path, small_corpus)
+        mutated = records[:-1] + [dataclasses.replace(records[-1], model="mock-a-v2")]
+        for mode in (None, MODE_ORACLE, MODE_EXECUTION):
+            for render in (report_text, summary_csv, summaries_from):
+                with pytest.raises(SpecError, match="records of provider 'mock-a' mix models "
+                                                    "'mock-a-v1' and 'mock-a-v2'"):
+                    render(mutated, mode)
 
     def test_empty_report_rejected(self):
         for render in (report_text, summary_csv, summaries_from):

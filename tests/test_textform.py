@@ -10,6 +10,7 @@ from mazenav.grid import Heading, Maze, MazeError, Opening
 from mazenav.textform import (
     MalformedDescription,
     canonical_lines,
+    load_description,
     parse,
     render_ascii,
     serialize,
@@ -66,6 +67,12 @@ class TestParse:
 
     def test_round_trip_worked(self, m0):
         assert parse(serialize(m0).text) == m0
+
+    def test_load_description_names_its_file(self, tmp_path):
+        path = tmp_path / "bad.maze"
+        path.write_text("not a maze\n", encoding="utf-8")
+        with pytest.raises(MalformedDescription, match=f"^{re.escape(str(path))}: line 1: "):
+            load_description(path)
 
     def test_empty(self):
         with pytest.raises(MalformedDescription):

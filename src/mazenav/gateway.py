@@ -20,7 +20,9 @@ apply to every attempt.
 
 Endpoints starting with ``mock:`` are served from a JSON script file mapping
 "<maze_id>|<scenario>" keys to response text; "*" is the fallback key. Mock
-completions are fully deterministic and need no credentials.
+completions are fully deterministic and need no credentials. A script that
+cannot be read, or is not a JSON object, is a RequestRejected, so it stops
+the run; a missing key or a reply that is not text fails only its trial.
 """
 
 from __future__ import annotations
@@ -92,7 +94,8 @@ class MalformedResponse(GatewayError):
 
 class RequestRejected(GatewayError):
     """A 3xx or 4xx reply that every later request would get too (a wrong
-    model, path or payload); never retried."""
+    model, path or payload), or a mock script that no request can use;
+    never retried."""
 
 
 def _check_types(obj, kind: str, types, *fields: str) -> None:
@@ -336,9 +339,9 @@ def _mock_complete(cfg: ProviderConfig, messages, trial_key: str | None) -> Comp
     try:
         script = json.loads(script_path.read_text(encoding="utf-8"))
     except (OSError, ValueError) as err:
-        raise GatewayError(f"cannot load mock script {script_path}: {err}")
+        raise RequestRejected(f"cannot load mock script {script_path}: {err}")
     if not isinstance(script, dict):
-        raise GatewayError(f"mock script {script_path} is not a JSON object")
+        raise RequestRejected(f"mock script {script_path} is not a JSON object")
     text = script.get(trial_key, script.get("*"))
     if text is None:
         raise GatewayError(f"no scripted response for key {trial_key!r}")

@@ -9,14 +9,16 @@ repeats, into one table that the resume check, the calls and the records
 read. The resume check looks up each loaded record of the run's providers
 and scenarios there and refuses a log that holds one made from another
 prompt, for a maze the corpus lacks, or by another model under one of the
-spec's provider names. Worker threads make only the provider calls; the
-submitting thread judges each reply and writes its record, in planning
-order, which keeps the log byte-stable regardless of scheduling. ``judge``,
-the one path from a reply to its scores (the CLI's verify calls it too),
-parses the reply, executes its scored prefix and scores that execution in
-each mode. A missing or rejected credential (AuthError), a request the
-provider refuses (RequestRejected), any other exception but a
-GatewayError, or an interrupt cancels the calls still queued and
+spec's provider names; it also refuses a record of any provider whose
+execution score shows that it was scored under the exit rule the spec does
+not set. Worker threads make only the provider calls; the submitting thread
+judges each reply and writes its record, in planning order, which keeps the
+log byte-stable regardless of scheduling. ``judge``, the one path from a
+reply to its scores (the CLI's verify calls it too), parses the reply,
+executes its scored prefix and scores that execution in each mode. A
+missing or rejected credential (AuthError), a request the provider refuses
+or a mock script that cannot be used (RequestRejected), any other exception
+but a GatewayError, or an interrupt cancels the calls still queued and
 propagates; the records written before it stay.
 
 The log is read once per run: the read reports where its whole lines end,
@@ -30,9 +32,9 @@ CLI writes report files), render from one tally: a single walk over the
 records that groups their scores in the report's mode and counts
 execution-mode first faults per provider. Rows are keyed by provider name,
 so a log in which one name holds two models is refused. A record whose
-scoring mode is not one of ``MODES``, or whose score in either mode lacks
-the shape ``RunScore`` stores, is a corrupt line too, since the report could
-not read it.
+scoring mode is not one of ``MODES``, whose score in either mode lacks the
+shape ``RunScore`` stores, or whose trace poses are not [int, str] pairs, is
+a corrupt line too, since the report and the resume check could not read it.
 
 Every command imports this module, so the thread pool (with ``logging``) is
 imported in ``run_records`` and ``csv`` in the CSV renderer, on first use.
@@ -44,7 +46,7 @@ import io
 import json
 import time
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from . import gateway
@@ -113,7 +115,9 @@ def load_spec(path) -> ExperimentSpec:
     corpus and output go to ExperimentSpec, the providers and the scenarios
     as their configs and the rest as they are, so it holds the defaults
     (scenarios only when the key is absent) and checks the types, and an
-    unknown key is refused; the experiment id defaults to the file's stem."""
+    unknown key is refused; the experiment id defaults to the file's stem.
+    The corpus, the output and a relative ``mock:`` script path resolve
+    against the spec's directory."""
     path = Path(path)
     try:
         data = json.loads(path.read_text(encoding="utf-8"))
@@ -121,10 +125,10 @@ def load_spec(path) -> ExperimentSpec:
         raise SpecError(f"cannot read spec {path}: {err}")
     try:
         rest = {"experiment_id": path.stem, **data}
-        rest["providers"] = [ProviderConfig(**p) for p in rest["providers"]]
+        base = path.parent
+        rest["providers"] = [_resolve_mock(ProviderConfig(**p), base) for p in rest["providers"]]
         if "scenarios" in rest:
             rest["scenarios"] = [Scenario(**s) for s in rest["scenarios"]]
-        base = path.parent
         return ExperimentSpec(
             corpus_dir=(base / rest.pop("corpus")).resolve(),
             output_dir=(base / rest.pop("output")).resolve(),
@@ -132,6 +136,13 @@ def load_spec(path) -> ExperimentSpec:
         )
     except (KeyError, TypeError, ValueError) as err:
         raise SpecError(f"invalid spec {path}: {err}")
+
+
+def _resolve_mock(cfg: ProviderConfig, base: Path) -> ProviderConfig:
+    script = cfg.endpoint[len("mock:"):]
+    if not cfg.endpoint.startswith("mock:") or Path(script).is_absolute():
+        return cfg
+    return replace(cfg, endpoint=f"mock:{(base / script).resolve()}")
 
 
 @dataclass(frozen=True)
@@ -184,6 +195,12 @@ class RunRecord:
             raise ValueError(f"scores must hold a score for each of {', '.join(MODES)}: a bool "
                              "complete, a number partial, a null or [int, str] first_fault "
                              "and a string mode")
+        # The resume check reads the last pose's heading.
+        poses = record.trace.get("poses") if isinstance(record.trace, dict) else None
+        if not isinstance(poses, list) or not all(
+                isinstance(p, list) and len(p) == 2 and type(p[0]) is int and isinstance(p[1], str)
+                for p in poses):
+            raise ValueError("trace must hold poses, a list of [int, str] pairs")
         return record
 
 
@@ -267,8 +284,9 @@ def _run_trial(
 ) -> RunRecord:
     """Wait for the trial's provider call, then judge its reply into the
     record; ``digest`` is the prompt's hash. A failed call scores 0 in every
-    mode and stays in n; a missing or rejected credential, or a request the
-    provider refuses, stops the run instead."""
+    mode and stays in n; a missing or rejected credential, a request the
+    provider refuses, or a mock script that cannot be used stops the run
+    instead."""
     try:
         completion = call.result()
     except (AuthError, RequestRejected):
@@ -303,25 +321,47 @@ def _run_trial(
     )
 
 
-def _check_resumed(spec, records, prompts, log_path) -> None:
+def _exit_rule(record: RunRecord, maze: Maze) -> bool | None:
+    """The lenient_exit a record was scored under, when its execution score
+    gives it away: a clean exit that does not face the exit side needs the
+    lenient rule, and a WrongExitHeading fault the strict one. None when
+    both rules score it the same."""
+    execution = record.scores[MODE_EXECUTION]
+    fault, poses = execution["first_fault"], record.trace["poses"]
+    if fault and fault[1] == FaultKind.WRONG_EXIT_HEADING.value:
+        return False
+    if execution["complete"] and poses and poses[-1][1] != maze.exit.side.value:
+        return True
+    return None
+
+
+def _check_resumed(spec, records, prompts, mazes, log_path) -> None:
     """Refuse to resume a log whose records of this spec's providers and
     scenarios were made from other prompts (another corpus, shots or system
     prompt), or that holds a record of one of its provider names made by
     another model. ``prompts`` maps (scenario, maze_id) to the run's
-    (messages, hash). Other providers' records are left as they are."""
+    (messages, hash). Other providers' records are left as they are, but
+    every provider's record of a maze in ``mazes`` (maze_id -> Maze) that no
+    other prompt made must fit the spec's exit rule, since the report
+    compares them in one table."""
     models = {p.name: p.model for p in spec.providers}
     scenarios = {sc.name for sc in spec.scenarios}
     for record in records:
         model = models.get(record.provider, record.model)
         prompt = prompts.get((record.scenario, record.maze_id))
+        ours = record.scenario in scenarios and record.provider in models
+        stale = prompt is not None and prompt[1] != record.prompt_hash
+        maze = mazes.get(record.maze_id)
         if record.model != model:
             problem = f"is for model {record.model!r}, not {model!r}"
-        elif record.scenario not in scenarios or record.provider not in models:
-            continue
-        elif prompt is None:
+        elif ours and prompt is None:
             problem = f"is for maze {record.maze_id!r}, which the corpus does not hold"
-        elif prompt[1] != record.prompt_hash:
+        elif ours and stale:
             problem = "was made from another prompt"
+        elif (maze is not None and not stale
+              and _exit_rule(record, maze) not in (None, spec.lenient_exit)):
+            problem = (f"was scored with lenient_exit {json.dumps(not spec.lenient_exit)}, "
+                       f"not {json.dumps(spec.lenient_exit)}")
         else:
             continue
         raise SpecError(f"record {record.key()} in {log_path} {problem}; "
@@ -353,7 +393,7 @@ def run_records(spec: ExperimentSpec, *, clock=time.time) -> list[RunRecord]:
     spec.output_dir.mkdir(parents=True, exist_ok=True)
     log_path = spec.output_dir / RECORDS_NAME
     records, whole, unterminated = _load_records(log_path)
-    _check_resumed(spec, records, prompts, log_path)
+    _check_resumed(spec, records, prompts, dict(corpus.tests), log_path)
     existing = {record.key() for record in records}
     planned = [
         (provider, scenario, maze_id, maze, repeat)

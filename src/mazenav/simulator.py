@@ -1,10 +1,11 @@
 """First-person execution of instruction sequences against a maze.
 
 All violations are reported as Fault values rather than exceptions so that
-scoring can pinpoint the first error; a Forward finds its own in one walk of
-grid.steps, the one step rule. The fault kinds form a closed set;
-PROVIDER_ERROR is never produced here but reuses the same vocabulary for
-trials whose transport failed before any instruction existed.
+scoring can pinpoint the first error. ``step`` returns the new Pose, the
+Fault it meets, or None when the navigator leaves through the exit; a Forward
+finds its own in one walk of grid.steps, the one step rule. The fault kinds
+form a closed set; PROVIDER_ERROR is never produced here but reuses the same
+vocabulary for trials whose transport failed before any instruction existed.
 """
 
 from __future__ import annotations
@@ -39,19 +40,6 @@ class Fault:
 
 
 @dataclass(frozen=True)
-class StepOutcome:
-    """Result of one instruction: a new pose, a clean exit, or a fault."""
-
-    pose: Pose | None = None
-    exited: bool = False
-    fault: Fault | None = None
-
-    @property
-    def ok(self) -> bool:
-        return self.fault is None
-
-
-@dataclass(frozen=True)
 class ExecutionTrace:
     """Poses after each in-maze step plus where (if anywhere) execution failed.
 
@@ -61,9 +49,9 @@ class ExecutionTrace:
     leaves the grid).
     """
 
-    poses: tuple = ()
-    failed_at: int | None = None
-    fault: Fault | None = None
+    poses: tuple
+    failed_at: int | None
+    fault: Fault | None
 
     @property
     def complete(self) -> bool:
@@ -84,30 +72,29 @@ def initial_heading(maze: Maze) -> Heading:
 
 def step(
     maze: Maze, pose: Pose | None, instr: Instruction, *, lenient_exit: bool = False
-) -> StepOutcome:
-    """Execute one instruction from ``pose`` (None = not yet stepped in)."""
+) -> Pose | Fault | None:
+    """Execute one instruction from ``pose`` (None = not yet stepped in).
+
+    Returns the new pose, the fault met, or None for a clean exit.
+    """
     if isinstance(instr, StepIn):
         if pose is not None:
-            return _fault(
-                FaultKind.WRONG_START_CELL,
-                f"step-in at {instr.cell} after navigation already started",
-            )
+            return Fault(FaultKind.WRONG_START_CELL,
+                         f"step-in at {instr.cell} after navigation already started")
         if instr.cell != maze.entrance.cell:
-            return _fault(
-                FaultKind.WRONG_START_CELL,
-                f"stepped into {instr.cell}, entrance is {maze.entrance.cell}",
-            )
-        return StepOutcome(pose=Pose(instr.cell, initial_heading(maze)))
+            return Fault(FaultKind.WRONG_START_CELL,
+                         f"stepped into {instr.cell}, entrance is {maze.entrance.cell}")
+        return Pose(instr.cell, initial_heading(maze))
 
     if pose is None:
-        return _fault(FaultKind.NOT_STARTED, f"{type(instr).__name__} before stepping in")
+        return Fault(FaultKind.NOT_STARTED, f"{type(instr).__name__} before stepping in")
 
     if isinstance(instr, Turn):
-        return StepOutcome(pose=Pose(pose.cell, rotate(pose.heading, instr.direction)))
+        return Pose(pose.cell, rotate(pose.heading, instr.direction))
 
     if isinstance(instr, Forward):
         if not 0 <= instr.cell < maze.size:
-            return _fault(FaultKind.OFF_GRID, f"position {instr.cell} is outside the grid")
+            return Fault(FaultKind.OFF_GRID, f"position {instr.cell} is outside the grid")
         check_cell(maze, pose.cell)
         # The grid edge before the target is NotOnRay; the first wall on the way, WallBlocked.
         ahead, d = steps(maze.rows, maze.cols), CLOCKWISE.index(pose.heading)
@@ -117,34 +104,24 @@ def step(
                 wall = f"wall between {prev} and {cell}"
             if cell == instr.cell:
                 if wall:
-                    return _fault(FaultKind.WALL_BLOCKED, wall)
-                return StepOutcome(pose=Pose(cell, pose.heading))
+                    return Fault(FaultKind.WALL_BLOCKED, wall)
+                return Pose(cell, pose.heading)
             prev = cell
-        return _fault(
-            FaultKind.NOT_ON_RAY,
-            f"position {instr.cell} is not straight ahead from {pose.cell} "
-            f"heading {pose.heading.value}",
-        )
+        return Fault(FaultKind.NOT_ON_RAY,
+                     f"position {instr.cell} is not straight ahead from {pose.cell} "
+                     f"heading {pose.heading.value}")
 
     if isinstance(instr, ExitAt):
         if pose.cell != instr.cell or instr.cell != maze.exit.cell:
-            return _fault(
-                FaultKind.WRONG_EXIT_CELL,
-                f"exit requested at {instr.cell} while at {pose.cell}; "
-                f"exit is at {maze.exit.cell}",
-            )
+            return Fault(FaultKind.WRONG_EXIT_CELL,
+                         f"exit requested at {instr.cell} while at {pose.cell}; "
+                         f"exit is at {maze.exit.cell}")
         if not lenient_exit and pose.heading != maze.exit.side:
-            return _fault(
-                FaultKind.WRONG_EXIT_HEADING,
-                f"facing {pose.heading.value}, exit side is {maze.exit.side.value}",
-            )
-        return StepOutcome(exited=True)
+            return Fault(FaultKind.WRONG_EXIT_HEADING,
+                         f"facing {pose.heading.value}, exit side is {maze.exit.side.value}")
+        return None
 
     raise TypeError(f"not an instruction: {instr!r}")
-
-
-def _fault(kind: FaultKind, detail: str) -> StepOutcome:
-    return StepOutcome(fault=Fault(kind, detail))
 
 
 def execute(
@@ -157,24 +134,15 @@ def execute(
     """
     if not instrs:
         return ExecutionTrace((), 0, Fault(FaultKind.NOT_STARTED, "empty instruction sequence"))
-    pose: Pose | None = None
-    exited = False
     poses: list[Pose] = []
     for index, instr in enumerate(instrs):
-        if exited:
-            return ExecutionTrace(
-                tuple(poses),
-                index,
-                Fault(FaultKind.ALREADY_EXITED, "instruction after leaving the maze"),
-            )
-        outcome = step(maze, pose, instr, lenient_exit=lenient_exit)
-        if outcome.fault is not None:
-            return ExecutionTrace(tuple(poses), index, outcome.fault)
-        if outcome.exited:
-            exited = True
-        else:
-            pose = outcome.pose
-            poses.append(outcome.pose)
-    if not exited:
-        return ExecutionTrace(tuple(poses), len(instrs), None)
-    return ExecutionTrace(tuple(poses), None, None)
+        outcome = step(maze, poses[-1] if poses else None, instr, lenient_exit=lenient_exit)
+        if isinstance(outcome, Fault):
+            return ExecutionTrace(tuple(poses), index, outcome)
+        if outcome is None:
+            if index + 1 < len(instrs):
+                return ExecutionTrace(tuple(poses), index + 1, Fault(
+                    FaultKind.ALREADY_EXITED, "instruction after leaving the maze"))
+            return ExecutionTrace(tuple(poses), None, None)
+        poses.append(outcome)
+    return ExecutionTrace(tuple(poses), len(instrs), None)

@@ -262,6 +262,32 @@ class TestEvalAndReport:
         assert (tmp_path / "resummary.csv").exists()
 
 
+    def set_endpoint(self, tmp_path, endpoint):
+        spec = json.loads((tmp_path / "exp.json").read_text(encoding="utf-8"))
+        spec["providers"][0]["endpoint"] = endpoint
+        (tmp_path / "exp.json").write_text(json.dumps(spec), encoding="utf-8")
+
+    def test_relative_mock_script_resolves_against_the_spec(self, tmp_path, capsys,
+                                                           monkeypatch):
+        self.build_experiment(tmp_path)
+        self.set_endpoint(tmp_path, "mock:script.json")
+        (tmp_path / "elsewhere").mkdir()
+        monkeypatch.chdir(tmp_path / "elsewhere")
+        assert run_cli("--workdir", tmp_path, "eval", "--spec", "exp.json") == 0
+        report = (tmp_path / "out" / "report.txt").read_text(encoding="utf-8")
+        assert "ProviderError" not in report and "none=9" in report
+
+    def test_missing_mock_script_stops_eval(self, tmp_path, capsys):
+        self.build_experiment(tmp_path)
+        self.set_endpoint(tmp_path, f"mock:{tmp_path / 'missing.json'}")
+        assert run_cli("--workdir", tmp_path, "eval", "--spec", "exp.json") == 1
+        assert f"cannot load mock script {tmp_path / 'missing.json'}" in capsys.readouterr().err
+        assert (tmp_path / "out" / "records.jsonl").read_text(encoding="utf-8") == ""
+        # No zeros were kept, so once the script is there a rerun scores it.
+        (tmp_path / "script.json").rename(tmp_path / "missing.json")
+        assert run_cli("--workdir", tmp_path, "eval", "--spec", "exp.json") == 0
+        assert "none=9" in (tmp_path / "out" / "report.txt").read_text(encoding="utf-8")
+
     @pytest.mark.parametrize("concurrency", [0, -1])
     def test_bad_concurrency_override(self, tmp_path, capsys, concurrency):
         self.build_experiment(tmp_path)

@@ -11,6 +11,7 @@ from mazenav import gateway, runner
 from mazenav.corpus import build_corpus
 from mazenav.gateway import (
     DEFAULT_SCENARIOS,
+    ONE_SHOT,
     AuthError,
     ProviderConfig,
     RequestRejected,
@@ -18,6 +19,7 @@ from mazenav.gateway import (
     build_messages,
 )
 from mazenav.generate import GenConfig
+from mazenav.instructions import Turn, render_sequence
 from mazenav.runner import (
     RECORDS_NAME,
     ExperimentSpec,
@@ -36,7 +38,7 @@ from mazenav.runner import (
 )
 from mazenav.scoring import MODE_EXECUTION, MODE_ORACLE, RunScore
 from mazenav.simulator import FaultKind
-from mazenav.solver import solution_text
+from mazenav.solver import reference_solution, solution_text
 
 
 @pytest.fixture
@@ -55,6 +57,13 @@ def write_script(tmp_path, corpus, answers) -> str:
                 script[f"{maze_id}|{scenario.name}"] = answers[maze_id]
     path = tmp_path / "script.json"
     path.write_text(json.dumps(script), encoding="utf-8")
+    return f"mock:{path}"
+
+
+def keyless_script(tmp_path) -> str:
+    """A mock script with no keys: every trial fails as a ProviderError."""
+    path = tmp_path / "keyless.json"
+    path.write_text("{}", encoding="utf-8")
     return f"mock:{path}"
 
 
@@ -104,7 +113,8 @@ class TestRun:
         run(spec, clock=lambda: 0.0)
         assert log_path.read_text(encoding="utf-8") == full
 
-    @pytest.mark.parametrize("script", [[1], {"*": 5}])
+    # A script that is not a JSON object stops the run instead (TestCredentials).
+    @pytest.mark.parametrize("script", [{"*": ["Turn left"]}, {"*": 5}])
     def test_malformed_mock_script_is_provider_error(self, tmp_path, small_corpus, script):
         corpus_dir, corpus = small_corpus
         path = tmp_path / "bad-script.json"
@@ -385,6 +395,57 @@ class TestResumeIntegrity:
                                 r"output directory")
 
 
+def drop_final_turn(maze) -> str:
+    """The reference solution without the turn that faces the exit, if it has one."""
+    instrs = reference_solution(maze).instructions
+    if isinstance(instrs[-2], Turn):
+        instrs = instrs[:-2] + instrs[-1:]
+    return render_sequence(instrs)
+
+
+class TestExitRuleOnResume:
+    """Records do not store the exit rule, but a clean exit that does not face
+    the exit side shows the lenient one, and a WrongExitHeading fault the
+    strict one; a resume under the other rule is refused before any call."""
+
+    @pytest.mark.parametrize("provider", ["mock-a", "mock-b"])
+    @pytest.mark.parametrize("first", [True, False], ids=["lenient-first", "strict-first"])
+    def test_change_of_rule_refused(self, tmp_path, small_corpus, monkeypatch, first, provider):
+        corpus_dir, corpus = small_corpus
+        answers = {maze_id: drop_final_turn(maze) for maze_id, maze in corpus.tests}
+        assert any(text != solution_text(maze) for (_, maze), text
+                   in zip(corpus.tests, answers.values()))
+        endpoint = write_script(tmp_path, corpus, answers)
+        spec = make_spec(tmp_path, corpus_dir, endpoint, lenient_exit=first,
+                         scenarios=[Scenario("zero-shot", 0)])
+        run(spec, clock=lambda: 0.0)
+        # The report compares providers in one table, so another provider's
+        # records must fit the rule too.
+        resumed = dataclasses.replace(
+            spec, lenient_exit=not first, scenarios=[Scenario("zero-shot", 0), ONE_SHOT],
+            providers=[ProviderConfig(name=provider, model=f"{provider}-v1", endpoint=endpoint)])
+        TestResumeIntegrity().assert_refused(
+            resumed, spec.output_dir / RECORDS_NAME, monkeypatch,
+            rf"record \('mock-a', 'mock-a-v1', 'zero-shot', 'test-00\d', 0\) .* was scored "
+            rf"with lenient_exit {json.dumps(first)}, not {json.dumps(not first)}; "
+            "use a fresh output directory")
+
+    @pytest.mark.parametrize("first", [True, False], ids=["lenient-first", "strict-first"])
+    def test_change_of_rule_accepted_when_no_run_turns_on_it(self, tmp_path, small_corpus, first):
+        corpus_dir, corpus = small_corpus
+        endpoint = write_script(tmp_path, corpus, oracle_answers(corpus))
+        spec = make_spec(tmp_path, corpus_dir, endpoint, lenient_exit=first,
+                         scenarios=[Scenario("zero-shot", 0)])
+        run(spec, clock=lambda: 0.0)
+        log_path = spec.output_dir / RECORDS_NAME
+        kept = log_path.read_text(encoding="utf-8")
+        resumed = dataclasses.replace(spec, lenient_exit=not first,
+                                      scenarios=[Scenario("zero-shot", 0), ONE_SHOT])
+        (summary_zero, summary_one) = run(resumed, clock=lambda: 0.0)
+        assert log_path.read_text(encoding="utf-8").startswith(kept)
+        assert summary_zero.complete_pct == summary_one.complete_pct == 100.0
+
+
 class TestFailFast:
     """A trial that crashes, or an interrupt, stops the run: queued trials
     make no provider call and the records written before it stay."""
@@ -477,6 +538,20 @@ class TestCredentials:
         assert planned == 102
         assert len(calls) < planned // 2
 
+    @pytest.mark.parametrize("script", [None, [1], "Turn left"],
+                             ids=["missing", "list", "string"])
+    def test_unusable_mock_script(self, tmp_path, script):
+        # Every trial would fail the same way, and a resume would keep the zeros.
+        corpus_dir = tmp_path / "corpus"
+        build_corpus(corpus_dir, GenConfig(seed=31), 4, 6)
+        path = tmp_path / "script.json"
+        if script is not None:
+            path.write_text(json.dumps(script), encoding="utf-8")
+        spec = make_spec(tmp_path, corpus_dir, f"mock:{path}", concurrency=2)
+        with pytest.raises(RequestRejected, match=f"mock script {path}"):
+            run_records(spec, clock=lambda: 0.0)
+        assert _load_records(spec.output_dir / RECORDS_NAME)[0] == []
+
     @pytest.mark.parametrize("status", [400, 404])
     def test_rejected_request(self, tmp_path, monkeypatch, status):
         monkeypatch.setenv("MAZENAV_TEST_KEY", "valid")
@@ -544,7 +619,7 @@ class TestRecordLine:
             endpoint,
             providers=[
                 ProviderConfig(name="good", model="g", endpoint=endpoint),
-                ProviderConfig(name="broken", model="b", endpoint="mock:/nonexistent.json"),
+                ProviderConfig(name="broken", model="b", endpoint=keyless_script(tmp_path)),
             ],
         )
         written = []
@@ -661,12 +736,20 @@ class TestRecordLog:
         ("scores", lambda r: r["scores"][MODE_EXECUTION].update(first_fault=[1, 2])),
         ("scores", lambda r: r["scores"][MODE_EXECUTION].update(first_fault="OffGrid")),
         ("scores", lambda r: r["scores"][MODE_EXECUTION].update(mode=None)),
+        ("trace", lambda r: r.update(trace=[])),
+        ("trace", lambda r: r["trace"].pop("poses")),
+        ("trace", lambda r: r["trace"].update(poses=[[8]])),
+        ("trace", lambda r: r["trace"].update(poses=[["8", "N"]])),
+        ("trace", lambda r: r["trace"].update(poses=[[True, "N"]])),
+        ("trace", lambda r: r["trace"].update(poses=[[8, 0]])),
     ], ids=["mode-unknown", "mode-null", "execution-empty", "no-first-fault", "complete-str",
             "complete-int", "partial-str", "partial-bool", "fault-short", "fault-step-str",
-            "fault-step-bool", "fault-kind-int", "fault-str", "mode-in-score-null"])
+            "fault-step-bool", "fault-kind-int", "fault-str", "mode-in-score-null",
+            "trace-list", "no-poses", "pose-short", "pose-cell-str", "pose-cell-bool",
+            "pose-heading-int"])
     def test_record_with_unreadable_mode_or_score_is_corrupt(self, tmp_path, small_corpus,
                                                              reason, edit):
-        # The report would stop on these with a KeyError, or misread them.
+        # The report or the resume check would stop on these with a KeyError, or misread them.
         self.assert_second_record_corrupt(tmp_path, small_corpus, edit, reason)
 
     def test_resume_refuses_mistyped_repeat_before_any_call(self, tmp_path, small_corpus,
@@ -795,7 +878,7 @@ class TestReport:
             good,
             providers=[
                 ProviderConfig(name="strong", model="s", endpoint=good),
-                ProviderConfig(name="weak", model="w", endpoint="mock:/nonexistent.json"),
+                ProviderConfig(name="weak", model="w", endpoint=keyless_script(tmp_path)),
             ],
         )
         run(spec, clock=lambda: 0.0)
@@ -821,6 +904,24 @@ class TestSpecLoading:
         assert spec.concurrency == 2
         assert spec.experiment_id == "exp"
         assert [s.name for s in spec.scenarios] == ["zero-shot"]
+
+    def test_relative_mock_script_resolves_against_the_spec(self, tmp_path, small_corpus,
+                                                           monkeypatch):
+        corpus_dir, _ = small_corpus
+        (tmp_path / "specs").mkdir()
+        spec_file = tmp_path / "specs" / "exp.json"
+        absolute = f"mock:{tmp_path / 'abs.json'}"
+        live = "http://127.0.0.1:9/v1/chat/completions"
+        spec_file.write_text(json.dumps({
+            "corpus": str(corpus_dir),
+            "output": "out",
+            "providers": [{"name": name, "model": "m", "endpoint": endpoint}
+                          for name, endpoint in (("rel", "mock:sub/x.json"),
+                                                 ("abs", absolute), ("live", live))],
+        }), encoding="utf-8")
+        monkeypatch.chdir(corpus_dir)
+        assert [p.endpoint for p in load_spec(spec_file).providers] == [
+            f"mock:{(tmp_path / 'specs' / 'sub' / 'x.json').resolve()}", absolute, live]
 
     def test_defaults_three_scenarios(self, tmp_path, small_corpus):
         corpus_dir, _ = small_corpus

@@ -3,7 +3,7 @@ from hypothesis import given, strategies as st
 
 from mazenav.grid import Heading, Maze, MazeError, Opening, Pose
 from mazenav.instructions import ExitAt, Forward, StepIn, Turn
-from mazenav.simulator import Fault, FaultKind, StepOutcome, execute, initial_heading, step
+from mazenav.simulator import Fault, FaultKind, execute, initial_heading, step
 
 
 @pytest.mark.parametrize(
@@ -24,36 +24,36 @@ def test_initial_heading_faces_inward(side, expected):
 class TestStep:
     def test_step_in(self, m0):
         out = step(m0, None, StepIn(8))
-        assert out.ok and out.pose == Pose(8, Heading.N)
+        assert out == Pose(8, Heading.N)
 
     def test_step_in_wrong_cell(self, m0):
         out = step(m0, None, StepIn(7))
-        assert out.fault.kind == FaultKind.WRONG_START_CELL
+        assert out.kind == FaultKind.WRONG_START_CELL
 
     def test_step_in_after_start(self, m0):
         out = step(m0, Pose(8, Heading.N), StepIn(8))
-        assert out.fault.kind == FaultKind.WRONG_START_CELL
+        assert out.kind == FaultKind.WRONG_START_CELL
 
     def test_forward_along_ray(self, m0):
         out = step(m0, Pose(8, Heading.W), Forward(7))
-        assert out.ok and out.pose == Pose(7, Heading.W)
+        assert out == Pose(7, Heading.W)
 
     def test_forward_not_on_ray(self, m0):
         out = step(m0, Pose(8, Heading.N), Forward(9))
-        assert out.fault.kind == FaultKind.NOT_ON_RAY
+        assert out.kind == FaultKind.NOT_ON_RAY
 
     def test_forward_to_current_cell(self, m0):
         out = step(m0, Pose(8, Heading.N), Forward(8))
-        assert out.fault.kind == FaultKind.NOT_ON_RAY
+        assert out.kind == FaultKind.NOT_ON_RAY
 
     def test_forward_through_wall(self, m0):
         out = step(m0, Pose(8, Heading.W), Forward(6))
-        assert out.fault.kind == FaultKind.WALL_BLOCKED
-        assert "6" in out.fault.detail and "7" in out.fault.detail
+        assert out.kind == FaultKind.WALL_BLOCKED
+        assert "6" in out.detail and "7" in out.detail
 
     def test_forward_off_grid(self, m0):
         out = step(m0, Pose(8, Heading.N), Forward(99))
-        assert out.fault.kind == FaultKind.OFF_GRID
+        assert out.kind == FaultKind.OFF_GRID
 
     def test_forward_from_a_pose_off_the_grid(self, m0):
         for cell in (-1, 10):
@@ -62,39 +62,39 @@ class TestStep:
 
     def test_multi_cell_forward(self, m0_nowall):
         out = step(m0_nowall, Pose(8, Heading.W), Forward(5))
-        assert out.ok and out.pose == Pose(5, Heading.W)
+        assert out == Pose(5, Heading.W)
 
     def test_turn_requires_pose(self, m0):
-        assert step(m0, None, Turn("left")).fault.kind == FaultKind.NOT_STARTED
+        assert step(m0, None, Turn("left")).kind == FaultKind.NOT_STARTED
 
     def test_exit_requires_pose(self, m0):
-        assert step(m0, None, ExitAt(1)).fault.kind == FaultKind.NOT_STARTED
+        assert step(m0, None, ExitAt(1)).kind == FaultKind.NOT_STARTED
 
     def test_exit_wrong_heading(self, m0):
         out = step(m0, Pose(1, Heading.W), ExitAt(1))
-        assert out.fault.kind == FaultKind.WRONG_EXIT_HEADING
+        assert out.kind == FaultKind.WRONG_EXIT_HEADING
 
     def test_exit_lenient_heading(self, m0):
         out = step(m0, Pose(1, Heading.W), ExitAt(1), lenient_exit=True)
-        assert out.ok and out.exited
+        assert out is None
 
     def test_exit_wrong_cell(self, m0):
         out = step(m0, Pose(3, Heading.N), ExitAt(1))
-        assert out.fault.kind == FaultKind.WRONG_EXIT_CELL
+        assert out.kind == FaultKind.WRONG_EXIT_CELL
 
     def test_exit_right_cell_wrong_target(self, m0):
         out = step(m0, Pose(3, Heading.N), ExitAt(3))
-        assert out.fault.kind == FaultKind.WRONG_EXIT_CELL
+        assert out.kind == FaultKind.WRONG_EXIT_CELL
 
     @given(st.sampled_from(list(Heading)), st.sampled_from(["left", "right"]))
     def test_turn_never_moves(self, heading, direction):
         maze = Maze(2, 5, frozenset(), Opening(8, Heading.S), Opening(1, Heading.N))
         out = step(maze, Pose(7, heading), Turn(direction))
-        assert out.pose.cell == 7
+        assert out.cell == 7
 
     def test_forward_never_turns(self, m0_nowall):
         out = step(m0_nowall, Pose(9, Heading.W), Forward(5))
-        assert out.pose.heading == Heading.W
+        assert out.heading == Heading.W
 
 
 class TestLineGrids:
@@ -109,27 +109,27 @@ class TestLineGrids:
 
     def test_forward_along_ray(self, line):
         maze, ahead, back = line
-        assert step(maze, Pose(0, ahead), Forward(2)) == StepOutcome(pose=Pose(2, ahead))
-        assert step(maze, Pose(2, back), Forward(0)) == StepOutcome(pose=Pose(0, back))
+        assert step(maze, Pose(0, ahead), Forward(2)) == Pose(2, ahead)
+        assert step(maze, Pose(2, back), Forward(0)) == Pose(0, back)
 
     def test_forward_past_the_edge(self, line):
         maze, ahead, back = line
         for pose in (Pose(1, back), Pose(1, ahead.left()), Pose(1, ahead.right())):
-            assert step(maze, pose, Forward(3)).fault == Fault(
+            assert step(maze, pose, Forward(3)) == Fault(
                 FaultKind.NOT_ON_RAY,
                 f"position 3 is not straight ahead from 1 heading {pose.heading.value}")
 
     def test_forward_to_current_cell(self, line):
         maze, ahead, back = line
         for heading in (ahead, back):
-            assert step(maze, Pose(3, heading), Forward(3)).fault == Fault(
+            assert step(maze, Pose(3, heading), Forward(3)) == Fault(
                 FaultKind.NOT_ON_RAY, f"position 3 is not straight ahead from 3 heading {heading.value}")
 
     def test_forward_through_two_walls_names_the_first(self, line):
         maze, ahead, back = line
-        assert step(maze, Pose(1, ahead), Forward(6)).fault == Fault(
+        assert step(maze, Pose(1, ahead), Forward(6)) == Fault(
             FaultKind.WALL_BLOCKED, "wall between 2 and 3")
-        assert step(maze, Pose(6, back), Forward(0)).fault == Fault(
+        assert step(maze, Pose(6, back), Forward(0)) == Fault(
             FaultKind.WALL_BLOCKED, "wall between 5 and 4")
 
 

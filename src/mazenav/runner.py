@@ -9,17 +9,18 @@ repeats, into one table that the resume check, the calls and the records
 read. The resume check looks up each loaded record of the run's providers
 and scenarios there and refuses a log that holds one made from another
 prompt, for a maze the corpus lacks, or by another model under one of the
-spec's provider names; it also refuses a record of any provider whose
-execution score shows that it was scored under the exit rule the spec does
-not set. Worker threads make only the provider calls; the submitting thread
-judges each reply and writes its record, in planning order, which keeps the
-log byte-stable regardless of scheduling. ``judge``, the one path from a
-reply to its scores (the CLI's verify calls it too), parses the reply,
-executes its scored prefix and scores that execution in each mode. A
-missing or rejected credential (AuthError), a request the provider refuses
-or a mock script that cannot be used (RequestRejected), any other exception
-but a GatewayError, or an interrupt cancels the calls still queued and
-propagates; the records written before it stay.
+spec's provider names; it judges each record of a corpus maze again under
+the spec's exit rule, unless another prompt made it, and refuses one that its
+reply does not reproduce. Worker threads make only the provider calls; the
+submitting thread judges each reply and writes its record, in planning
+order, which keeps the log byte-stable regardless of scheduling. ``judge``,
+the one path from a reply to its scores (the resume check and the CLI's
+verify call it too), parses the reply, executes its scored prefix and scores
+that execution in each mode. A missing or rejected credential (AuthError), a
+request the provider refuses or a mock script that cannot be used
+(RequestRejected), any other exception but a GatewayError, or an interrupt
+cancels the calls still queued and propagates; the records written before
+it stay.
 
 The log is read once per run: the read reports where its whole lines end,
 and the handle that appends cuts a torn last line or ends an unterminated
@@ -33,8 +34,9 @@ records that groups their scores in the report's mode and counts
 execution-mode first faults per provider. Rows are keyed by provider name,
 so a log in which one name holds two models is refused. A record whose
 scoring mode is not one of ``MODES``, whose score in either mode lacks the
-shape ``RunScore`` stores, or whose trace poses are not [int, str] pairs, is
-a corrupt line too, since the report and the resume check could not read it.
+shape ``RunScore`` stores, whose response is not a string, or whose trace
+poses are not [int, str] pairs, is a corrupt line too: the report could not
+read it, nor the resume check judge it, and a trace is outside input too.
 
 Every command imports this module, so the thread pool (with ``logging``) is
 imported in ``run_records`` and ``csv`` in the CSV renderer, on first use.
@@ -187,6 +189,8 @@ class RunRecord:
             raise ValueError("provider, model, scenario and maze_id must be strings")
         if type(record.repeat) is not int:
             raise ValueError("repeat must be an integer")
+        if not isinstance(record.response, str):
+            raise ValueError("response must be a string")
         # The report reads the scores in the recorded mode, or any other.
         if record.scoring_mode not in MODES:
             raise ValueError(f"scoring_mode must be one of {', '.join(MODES)}")
@@ -195,7 +199,7 @@ class RunRecord:
             raise ValueError(f"scores must hold a score for each of {', '.join(MODES)}: a bool "
                              "complete, a number partial, a null or [int, str] first_fault "
                              "and a string mode")
-        # The resume check reads the last pose's heading.
+        # Outside input: the poses must have the shape ExecutionTrace.to_dict writes.
         poses = record.trace.get("poses") if isinstance(record.trace, dict) else None
         if not isinstance(poses, list) or not all(
                 isinstance(p, list) and len(p) == 2 and type(p[0]) is int and isinstance(p[1], str)
@@ -270,35 +274,38 @@ def judge(maze: Maze, text: str, reference: Solution,
                            for mode in MODES}
 
 
-def _run_trial(
-    spec: ExperimentSpec,
-    provider: ProviderConfig,
-    scenario: Scenario,
-    maze_id: str,
-    maze: Maze,
-    digest: str,
-    reference: Solution,
-    repeat: int,
-    call: Future,
-    clock,
-) -> RunRecord:
-    """Wait for the trial's provider call, then judge its reply into the
-    record; ``digest`` is the prompt's hash. A failed call scores 0 in every
-    mode and stays in n; a missing or rejected credential, a request the
-    provider refuses, or a mock script that cannot be used stops the run
-    instead."""
+def _judged(maze: Maze, reference: Solution, lenient_exit: bool, text: str,
+            error: str | None) -> dict:
+    """The fields of a record that its reply decides, as trials write them: the
+    reply judged, or, for a failed call whose detail is ``error``, an empty
+    reply that scores 0 in every mode and stays in n."""
+    if error is None:
+        parsed, trace, scores = judge(maze, text, reference, lenient_exit)
+    else:
+        text, fault = "", FaultKind.PROVIDER_ERROR
+        parsed = ParsedResponse((), (), 0)
+        trace = ExecutionTrace((), 0, Fault(fault, error))
+        scores = {mode: RunScore(False, 0.0, (0, fault.value), mode) for mode in MODES}
+    return dict(response=text,
+                instructions=[instruction_to_dict(i) for i in parsed.instructions],
+                rejected=[[r.line_no, r.text, r.reason] for r in parsed.rejected_lines],
+                trace=trace.to_dict(),
+                scores={mode: score.to_dict() for mode, score in scores.items()})
+
+
+def _run_trial(spec: ExperimentSpec, provider: ProviderConfig, scenario: Scenario, maze_id: str,
+               maze: Maze, digest: str, reference: Solution, repeat: int, call: Future,
+               clock) -> RunRecord:
+    """Wait for the trial's provider call, then judge its reply, or its
+    failure, into the record; ``digest`` is the prompt's hash. A missing or
+    rejected credential, a request the provider refuses, or a mock script
+    that cannot be used stops the run instead."""
     try:
-        completion = call.result()
+        completion, error = call.result(), None
     except (AuthError, RequestRejected):
         raise
     except GatewayError as err:
-        completion = gateway.Completion("", 0, 0, 0.0, 0)
-        fault = FaultKind.PROVIDER_ERROR
-        parsed = ParsedResponse((), (), 0)
-        trace = ExecutionTrace((), 0, Fault(fault, str(err)))
-        scores = {mode: RunScore(False, 0.0, (0, fault.value), mode) for mode in MODES}
-    else:
-        parsed, trace, scores = judge(maze, completion.text, reference, spec.lenient_exit)
+        completion, error = gateway.Completion("", 0, 0, 0.0, 0), str(err)
     return RunRecord(
         experiment=spec.experiment_id,
         provider=provider.name,
@@ -307,11 +314,7 @@ def _run_trial(
         maze_id=maze_id,
         repeat=repeat,
         prompt_hash=digest,
-        response=completion.text,
-        instructions=[instruction_to_dict(i) for i in parsed.instructions],
-        rejected=[[r.line_no, r.text, r.reason] for r in parsed.rejected_lines],
-        trace=trace.to_dict(),
-        scores={mode: score.to_dict() for mode, score in scores.items()},
+        **_judged(maze, reference, spec.lenient_exit, completion.text, error),
         scoring_mode=spec.scoring_mode,
         tokens_in=completion.tokens_in,
         tokens_out=completion.tokens_out,
@@ -321,28 +324,25 @@ def _run_trial(
     )
 
 
-def _exit_rule(record: RunRecord, maze: Maze) -> bool | None:
-    """The lenient_exit a record was scored under, when its execution score
-    gives it away: a clean exit that does not face the exit side needs the
-    lenient rule, and a WrongExitHeading fault the strict one. None when
-    both rules score it the same."""
-    execution = record.scores[MODE_EXECUTION]
-    fault, poses = execution["first_fault"], record.trace["poses"]
-    if fault and fault[1] == FaultKind.WRONG_EXIT_HEADING.value:
-        return False
-    if execution["complete"] and poses and poses[-1][1] != maze.exit.side.value:
-        return True
-    return None
+def _differs(record: RunRecord, maze: Maze, reference: Solution, lenient_exit: bool) -> str | None:
+    """The first field of ``record`` that judging its reply again under
+    ``lenient_exit`` does not reproduce, or None. A record whose trace holds a
+    failed call is rebuilt as one, from the detail it stores."""
+    fault = record.trace.get("fault")
+    error = (str(fault.get("detail")) if isinstance(fault, dict)
+             and fault.get("kind") == FaultKind.PROVIDER_ERROR.value else None)
+    fields = _judged(maze, reference, lenient_exit, record.response, error)
+    return next((name for name, value in fields.items() if getattr(record, name) != value), None)
 
 
-def _check_resumed(spec, records, prompts, mazes, log_path) -> None:
+def _check_resumed(spec, records, prompts, tests, log_path) -> None:
     """Refuse to resume a log whose records of this spec's providers and
     scenarios were made from other prompts (another corpus, shots or system
     prompt), or that holds a record of one of its provider names made by
     another model. ``prompts`` maps (scenario, maze_id) to the run's
-    (messages, hash). Other providers' records are left as they are, but
-    every provider's record of a maze in ``mazes`` (maze_id -> Maze) that no
-    other prompt made must fit the spec's exit rule, since the report
+    (messages, hash), and ``tests`` maze_id to (Maze, reference). Every
+    provider's record of a test maze that no other prompt made must be what
+    judging its reply under the spec's exit rule writes, as the report
     compares them in one table."""
     models = {p.name: p.model for p in spec.providers}
     scenarios = {sc.name for sc in spec.scenarios}
@@ -351,19 +351,20 @@ def _check_resumed(spec, records, prompts, mazes, log_path) -> None:
         prompt = prompts.get((record.scenario, record.maze_id))
         ours = record.scenario in scenarios and record.provider in models
         stale = prompt is not None and prompt[1] != record.prompt_hash
-        maze = mazes.get(record.maze_id)
+        test = tests.get(record.maze_id)
         if record.model != model:
             problem = f"is for model {record.model!r}, not {model!r}"
         elif ours and prompt is None:
             problem = f"is for maze {record.maze_id!r}, which the corpus does not hold"
         elif ours and stale:
             problem = "was made from another prompt"
-        elif (maze is not None and not stale
-              and _exit_rule(record, maze) not in (None, spec.lenient_exit)):
+        elif test is None or stale or not (differs := _differs(record, *test, spec.lenient_exit)):
+            continue
+        elif _differs(record, *test, not spec.lenient_exit) is None:
             problem = (f"was scored with lenient_exit {json.dumps(not spec.lenient_exit)}, "
                        f"not {json.dumps(spec.lenient_exit)}")
         else:
-            continue
+            problem = f"does not match its reply ({differs} differs)"
         raise SpecError(f"record {record.key()} in {log_path} {problem}; "
                         "use a fresh output directory")
 
@@ -393,7 +394,8 @@ def run_records(spec: ExperimentSpec, *, clock=time.time) -> list[RunRecord]:
     spec.output_dir.mkdir(parents=True, exist_ok=True)
     log_path = spec.output_dir / RECORDS_NAME
     records, whole, unterminated = _load_records(log_path)
-    _check_resumed(spec, records, prompts, dict(corpus.tests), log_path)
+    tests = {maze_id: (maze, reference_solution(maze)) for maze_id, maze in corpus.tests}
+    _check_resumed(spec, records, prompts, tests, log_path)
     existing = {record.key() for record in records}
     planned = [
         (provider, scenario, maze_id, maze, repeat)
@@ -403,10 +405,6 @@ def run_records(spec: ExperimentSpec, *, clock=time.time) -> list[RunRecord]:
         for repeat in range(spec.repeats)
         if (provider.name, provider.model, scenario.name, maze_id, repeat) not in existing
     ]
-    needed = {trial[2] for trial in planned}
-    references = {
-        maze_id: reference_solution(maze) for maze_id, maze in corpus.tests if maze_id in needed
-    }
 
     with open(log_path, "a", encoding="utf-8") as log, ThreadPoolExecutor(
         max_workers=spec.concurrency
@@ -426,7 +424,7 @@ def run_records(spec: ExperimentSpec, *, clock=time.time) -> list[RunRecord]:
         try:
             for (provider, scenario, maze_id, maze, repeat), call in zip(planned, calls):
                 record = _run_trial(spec, provider, scenario, maze_id, maze,
-                                    prompts[scenario.name, maze_id][1], references[maze_id],
+                                    prompts[scenario.name, maze_id][1], tests[maze_id][1],
                                     repeat, call, clock)
                 log.write(record.to_json_line() + "\n")
                 log.flush()

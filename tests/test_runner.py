@@ -394,6 +394,44 @@ class TestResumeIntegrity:
                                 r".* is for model 'mock-a-v1', not 'mock-a-v2'; use a fresh "
                                 r"output directory")
 
+    @pytest.mark.parametrize("field, edit", [
+        ("scores", lambda r: r["scores"][MODE_ORACLE].update(complete=False, partial=0.5)),
+        ("trace", lambda r: r["trace"]["poses"].pop()),
+        ("instructions", lambda r: r["instructions"][0].update(cell=-1)),
+    ], ids=["score", "pose", "instruction"])
+    def test_tampered_record_refused(self, tmp_path, small_corpus, monkeypatch, field, edit):
+        # Each record is judged again from its reply, so an edit of what the
+        # reply decides is refused, naming the field, whatever rule it suggests.
+        corpus_dir, corpus = small_corpus
+        spec, log_path = self.cut_run(tmp_path, corpus_dir, corpus)
+        first, *rest = log_path.read_text(encoding="utf-8").splitlines(keepends=True)
+        record = json.loads(first)
+        edit(record)
+        log_path.write_text("".join([json.dumps(record) + "\n", *rest]), encoding="utf-8")
+        self.assert_refused(spec, log_path, monkeypatch,
+                            r"record \('mock-a', 'mock-a-v1', 'zero-shot', 'test-000', 0\) "
+                            rf".* does not match its reply \({field} differs\); use a fresh "
+                            r"output directory")
+
+    def test_provider_error_records_judged_as_written(self, tmp_path, small_corpus, monkeypatch):
+        corpus_dir, _ = small_corpus
+        spec = make_spec(tmp_path, corpus_dir, keyless_script(tmp_path),
+                         scenarios=[Scenario("zero-shot", 0)])
+        run(spec, clock=lambda: 0.0)
+        log_path = spec.output_dir / RECORDS_NAME
+        kept = log_path.read_text(encoding="utf-8")
+        assert all(r.trace["fault"]["kind"] == FaultKind.PROVIDER_ERROR.value
+                   for r in load_records(log_path))
+        resumed = dataclasses.replace(spec, scenarios=[Scenario("zero-shot", 0), ONE_SHOT])
+        run(resumed, clock=lambda: 0.0)
+        assert log_path.read_text(encoding="utf-8").startswith(kept)
+        # A failed call's record holds no reply.
+        first, *rest = kept.splitlines(keepends=True)
+        log_path.write_text("".join([json.dumps({**json.loads(first), "response": "Step in"})
+                                     + "\n", *rest]), encoding="utf-8")
+        self.assert_refused(resumed, log_path, monkeypatch,
+                            r"'test-000', 0\) .* does not match its reply \(response differs\)")
+
 
 def drop_final_turn(maze) -> str:
     """The reference solution without the turn that faces the exit, if it has one."""
@@ -742,14 +780,15 @@ class TestRecordLog:
         ("trace", lambda r: r["trace"].update(poses=[["8", "N"]])),
         ("trace", lambda r: r["trace"].update(poses=[[True, "N"]])),
         ("trace", lambda r: r["trace"].update(poses=[[8, 0]])),
+        ("response", lambda r: r.update(response=5)),
     ], ids=["mode-unknown", "mode-null", "execution-empty", "no-first-fault", "complete-str",
             "complete-int", "partial-str", "partial-bool", "fault-short", "fault-step-str",
             "fault-step-bool", "fault-kind-int", "fault-str", "mode-in-score-null",
             "trace-list", "no-poses", "pose-short", "pose-cell-str", "pose-cell-bool",
-            "pose-heading-int"])
+            "pose-heading-int", "response-int"])
     def test_record_with_unreadable_mode_or_score_is_corrupt(self, tmp_path, small_corpus,
                                                              reason, edit):
-        # The report or the resume check would stop on these with a KeyError, or misread them.
+        # The report or the resume check would stop on these with a traceback, or misread them.
         self.assert_second_record_corrupt(tmp_path, small_corpus, edit, reason)
 
     def test_resume_refuses_mistyped_repeat_before_any_call(self, tmp_path, small_corpus,

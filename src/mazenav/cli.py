@@ -17,6 +17,7 @@ from pathlib import Path
 from .corpus import CorpusError, build_corpus, load_corpus
 from .gateway import DEFAULT_SCENARIOS, GatewayError, ProviderConfig
 from .generate import GenConfig, GenerationError, generate
+from .report import render_reports
 from .runner import (
     RECORDS_NAME,
     ExperimentSpec,
@@ -24,7 +25,6 @@ from .runner import (
     judge,
     load_records,
     load_spec,
-    render_reports,
     run_records,
 )
 from .scoring import MODES, MODE_ORACLE

@@ -6,48 +6,40 @@ already present are skipped, so interrupted runs resume and finished runs
 are idempotent. Before the first provider call, a run builds and hashes the
 prompt of each scenario and test maze once, whatever the providers and
 repeats, into one table that the resume check, the calls and the records
-read. The resume check looks up each loaded record of the run's providers
-and scenarios there and refuses a log that holds one made from another
-prompt, for a maze the corpus lacks, or by another model under one of the
-spec's provider names; it judges each record of a corpus maze again under
-the spec's exit rule, unless another prompt made it, and refuses one that its
-reply does not reproduce. Worker threads make only the provider calls; the
-submitting thread judges each reply and writes its record, in planning
-order, which keeps the log byte-stable regardless of scheduling. ``judge``,
-the one path from a reply to its scores (the resume check and the CLI's
-verify call it too), parses the reply, executes its scored prefix and scores
-that execution in each mode. A missing or rejected credential (AuthError), a
-request the provider refuses or a mock script that cannot be used
-(RequestRejected), any other exception but a GatewayError, or an interrupt
-cancels the calls still queued and propagates; the records written before
-it stay.
+read. The resume check refuses a log that holds, from any provider, a
+record for a maze the corpus lacks, one made from another prompt than the
+run has for its scenario and maze, or one made by another model under one
+of the spec's provider names; it judges every other record again under the
+spec's exit rule and refuses one that its reply does not reproduce. Worker
+threads make only the provider calls; the submitting thread judges each
+reply and writes its record, in planning order, which keeps the log
+byte-stable regardless of scheduling. ``judge``, the one path from a reply
+to its scores (the resume check and the CLI's verify call it too), parses
+the reply, executes its scored prefix and scores that execution in each
+mode. A missing or rejected credential (AuthError), a request the provider
+refuses or a mock script that cannot be used (RequestRejected), any other
+exception but a GatewayError, or an interrupt cancels the calls still
+queued and propagates; the records written before it stay.
 
 The log is read once per run: the read reports where its whole lines end,
 and the handle that appends cuts a torn last line or ends an unterminated
 one. A record whose key fields have the wrong types is a corrupt line, so a
 resume never pays for its trial again. ``run_records`` returns every record
 of the log, the loaded ones and the new ones; ``run()`` returns their
-summaries. The summaries, and the report.txt and summary.csv strings that
-``render_reports`` returns to the CLI's eval, mock-eval and report (only the
-CLI writes report files), render from one tally: a single walk over the
-records that groups their scores in the report's mode and counts
-execution-mode first faults per provider. Rows are keyed by provider name,
-so a log in which one name holds two models is refused. A record whose
-scoring mode is not one of ``MODES``, whose score in either mode lacks the
-shape ``RunScore`` stores, whose response is not a string, or whose trace
-poses are not [int, str] pairs, is a corrupt line too: the report could not
-read it, nor the resume check judge it, and a trace is outside input too.
+summaries, which ``report`` renders. A record whose scoring mode is not one
+of ``MODES``, whose score in either mode lacks the shape ``RunScore``
+stores, whose response is not a string, or whose trace poses are not [int,
+str] pairs, is a corrupt line too: the report could not read it, nor the
+resume check judge it, and a trace is outside input too.
 
 Every command imports this module, so the thread pool (with ``logging``) is
-imported in ``run_records`` and ``csv`` in the CSV renderer, on first use.
+imported in ``run_records``, on first use.
 """
 
 from __future__ import annotations
 
-import io
 import json
 import time
-from collections import Counter, defaultdict
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -67,16 +59,13 @@ from .gateway import (
 )
 from .grid import Maze
 from .instructions import ParsedResponse, instruction_to_dict, parse_response
-from .scoring import MODES, MODE_EXECUTION, MODE_ORACLE, MetricsSummary, RunScore, score_run, summarize
+# perfbench calls report_text, summary_csv and summaries_from here; its tracer patches two.
+from .report import SpecError, render_reports, report_text, summaries_from, summary_csv
+from .scoring import MODES, MODE_ORACLE, MetricsSummary, RunScore, score_run
 from .simulator import ExecutionTrace, Fault, FaultKind, execute
 from .solver import Solution, reference_solution
 
 RECORDS_NAME = "records.jsonl"
-SCENARIO_ORDER = ("few-shot", "one-shot", "zero-shot")  # report column order
-
-
-class SpecError(ValueError):
-    pass
 
 
 @dataclass
@@ -336,35 +325,35 @@ def _differs(record: RunRecord, maze: Maze, reference: Solution, lenient_exit: b
 
 
 def _check_resumed(spec, records, prompts, tests, log_path) -> None:
-    """Refuse to resume a log whose records of this spec's providers and
-    scenarios were made from other prompts (another corpus, shots or system
-    prompt), or that holds a record of one of its provider names made by
-    another model. ``prompts`` maps (scenario, maze_id) to the run's
-    (messages, hash), and ``tests`` maze_id to (Maze, reference). Every
-    provider's record of a test maze that no other prompt made must be what
-    judging its reply under the spec's exit rule writes, as the report
-    compares them in one table."""
+    """Refuse to resume a log holding, from any provider, a record for a maze
+    the corpus lacks, or made from another prompt (corpus, shots or system
+    prompt) than the run's for its scenario and maze, or by another model
+    under one of the spec's provider names. ``prompts`` maps (scenario,
+    maze_id) to the run's (messages, hash), and ``tests`` maze_id to (Maze,
+    reference). Every other record must be what judging its reply under the
+    spec's exit rule writes, as the report compares them in one table; for a
+    scenario the spec does not run, with no prompt to compare, that is all."""
     models = {p.name: p.model for p in spec.providers}
-    scenarios = {sc.name for sc in spec.scenarios}
     for record in records:
         model = models.get(record.provider, record.model)
         prompt = prompts.get((record.scenario, record.maze_id))
-        ours = record.scenario in scenarios and record.provider in models
-        stale = prompt is not None and prompt[1] != record.prompt_hash
         test = tests.get(record.maze_id)
         if record.model != model:
             problem = f"is for model {record.model!r}, not {model!r}"
-        elif ours and prompt is None:
+        elif test is None:
             problem = f"is for maze {record.maze_id!r}, which the corpus does not hold"
-        elif ours and stale:
+        elif prompt is not None and prompt[1] != record.prompt_hash:
             problem = "was made from another prompt"
-        elif test is None or stale or not (differs := _differs(record, *test, spec.lenient_exit)):
+        elif not (differs := _differs(record, *test, spec.lenient_exit)):
             continue
         elif _differs(record, *test, not spec.lenient_exit) is None:
             problem = (f"was scored with lenient_exit {json.dumps(not spec.lenient_exit)}, "
                        f"not {json.dumps(spec.lenient_exit)}")
         else:
             problem = f"does not match its reply ({differs} differs)"
+            if prompt is None:
+                problem = (f"is for scenario {record.scenario!r}, which this spec does not run, "
+                           f"and {problem}")
         raise SpecError(f"record {record.key()} in {log_path} {problem}; "
                         "use a fresh output directory")
 
@@ -435,132 +424,3 @@ def run_records(spec: ExperimentSpec, *, clock=time.time) -> list[RunRecord]:
             pool.shutdown(wait=False, cancel_futures=True)
             raise
     return records
-
-
-@dataclass(frozen=True)
-class _Tally:
-    """What every report section needs, gathered in one walk over the records."""
-
-    mode: str
-    records: int
-    summaries: list[MetricsSummary]
-    faults: dict[str, Counter]  # provider -> first-fault label -> runs (execution)
-    solved: dict[str, list[bool]]  # maze_id -> completion per run (``mode``)
-
-
-def _tally(records: list[RunRecord], mode: str | None) -> _Tally:
-    """Decode every record's score once, in ``mode`` (default: the single
-    recorded mode); the fault histogram reads the stored execution score."""
-    if not records:
-        raise SpecError("empty record log")
-    if mode is None:
-        modes = {r.scoring_mode for r in records}
-        if len(modes) > 1:
-            raise SpecError(
-                f"records mix scoring modes {sorted(modes)}; pass an explicit mode"
-            )
-        mode = modes.pop()
-    groups: dict[tuple[str, str], list[RunScore]] = defaultdict(list)
-    faults: dict[str, Counter] = defaultdict(Counter)
-    solved: dict[str, list[bool]] = defaultdict(list)
-    models: dict[str, str] = {}
-    for record in records:
-        if models.setdefault(record.provider, record.model) != record.model:
-            raise SpecError(f"records of provider {record.provider!r} mix models "
-                            f"{models[record.provider]!r} and {record.model!r}")
-        score = record.score(mode)
-        groups[record.provider, record.scenario].append(score)
-        solved[record.maze_id].append(score.complete)
-        # Two fields of the stored execution score are all the histogram needs.
-        execution = record.scores[MODE_EXECUTION]
-        fault = execution["first_fault"]
-        label = fault[1] if fault else ("none" if execution["complete"] else "StoppedEarly")
-        faults[record.provider][label] += 1
-    summaries = [summarize(model, scenario, group) for (model, scenario), group in groups.items()]
-    return _Tally(mode, len(records), summaries, faults, solved)
-
-
-def summaries_from(records: list[RunRecord], mode: str | None = None) -> list[MetricsSummary]:
-    """Per provider x scenario summaries; ``mode`` overrides the recorded
-    scoring mode (records hold scores for both)."""
-    return _tally(records, mode).summaries
-
-
-def _table(summaries: list[MetricsSummary], metric: str, title: str) -> list[str]:
-    scenarios = [s for s in SCENARIO_ORDER if any(x.scenario == s for x in summaries)]
-    scenarios += sorted({x.scenario for x in summaries} - set(scenarios))
-    by_model: dict[str, dict[str, float]] = {}
-    for s in summaries:
-        by_model.setdefault(s.model, {})[s.scenario] = getattr(s, metric)
-    sort_col = scenarios[0] if scenarios else ""
-    rows = sorted(by_model.items(), key=lambda kv: kv[1].get(sort_col, -1.0))
-    name_w = max([len("Model")] + [len(m) for m in by_model])
-    head = "Model".ljust(name_w) + "".join(f"  {sc:>10}" for sc in scenarios)
-    out = [title, "-" * len(head), head]
-    for model, cells in rows:
-        line = model.ljust(name_w)
-        for sc in scenarios:
-            value = cells.get(sc)
-            line += f"  {value:>10.1f}" if value is not None else f"  {'-':>10}"
-        out.append(line)
-    return out
-
-
-def _report(tally: _Tally) -> str:
-    lines = [f"Scoring mode: {tally.mode}", f"Records: {tally.records}", ""]
-    for metric, title in (
-        ("complete_pct", "Complete Path Accuracy [%] (sorted by few-shot performance)"),
-        ("partial_pct", "Partial Path Accuracy [%] (sorted by few-shot performance)"),
-    ):
-        lines.extend(_table(tally.summaries, metric, title))
-        lines.append("")
-
-    lines.append("Fault histogram per model (execution scoring, first fault per run)")
-    for model in sorted(tally.faults):
-        parts = ", ".join(f"{k}={v}" for k, v in sorted(tally.faults[model].items()))
-        lines.append(f"  {model}: {parts}")
-    lines.append("")
-
-    lines.append(f"Per-maze difficulty (fraction of runs complete, {tally.mode} scoring)")
-    for maze_id in sorted(tally.solved):
-        outcomes = tally.solved[maze_id]
-        lines.append(f"  {maze_id}: {sum(outcomes) / len(outcomes):.3f} (n={len(outcomes)})")
-    lines.append("")
-
-    lines.append("Notes:")
-    lines.append("  * Partial accuracy is normalized by the reference solution length.")
-    lines.append("  * An unparseable line inside the instruction block ends the scored prefix.")
-    lines.append("  * oracle-match requires the exact reference sequence; execution accepts")
-    lines.append("    any faultless route that exits cleanly (strict exit heading unless")
-    lines.append("    the experiment ran with lenient_exit).")
-    lines.append("  * Provider failures after retry exhaustion score 0 and stay in n.")
-    return "\n".join(lines) + "\n"
-
-
-def _csv(summaries: list[MetricsSummary]) -> str:
-    """CSV rows; a name holding a comma or quote is quoted, so it stays one field."""
-    import csv
-
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(("model", "scenario", "n", "complete_pct", "partial_pct"))
-    writer.writerows((s.model, s.scenario, s.n, f"{s.complete_pct:.1f}", f"{s.partial_pct:.1f}")
-                     for s in summaries)
-    return out.getvalue()
-
-
-def report_text(records: list[RunRecord], mode: str | None = None) -> str:
-    """Aligned-text report: both accuracy tables, fault histograms, and a
-    per-maze difficulty table."""
-    return _report(_tally(records, mode))
-
-
-def summary_csv(records: list[RunRecord], mode: str | None = None) -> str:
-    """Long-form CSV export of the per-group accuracy summaries."""
-    return _csv(summaries_from(records, mode))
-
-
-def render_reports(records: list[RunRecord], mode: str | None = None) -> tuple[str, str]:
-    """report.txt and summary.csv, rendered from one tally."""
-    tally = _tally(records, mode)
-    return _report(tally), _csv(tally.summaries)

@@ -15,7 +15,6 @@ length, which keeps Complete <= Partial in every aggregate.
 
 from __future__ import annotations
 
-from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -75,7 +74,6 @@ class MetricsSummary:
     n: int
     complete_pct: float
     partial_pct: float
-    fault_histogram: dict
 
 
 def score_run(
@@ -138,5 +136,4 @@ def summarize(model: str, scenario: str, scores: Sequence[RunScore]) -> MetricsS
     n = len(scores)
     complete_pct = 100.0 * sum(1 for s in scores if s.complete) / n
     partial_pct = 100.0 * sum(s.partial for s in scores) / n
-    histogram = Counter(s.first_fault[1] for s in scores if s.first_fault)
-    return MetricsSummary(model, scenario, n, complete_pct, partial_pct, dict(histogram))
+    return MetricsSummary(model, scenario, n, complete_pct, partial_pct)

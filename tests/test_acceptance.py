@@ -20,6 +20,7 @@ Criteria, in short:
 
 import json
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -39,7 +40,7 @@ from mazenav.instructions import (
     parse_response,
     render_sequence,
 )
-from mazenav.runner import RECORDS_NAME, ExperimentSpec, load_records, run
+from mazenav.runner import RECORDS_NAME, ExperimentSpec, load_records, run, run_records
 from mazenav.scoring import MODE_EXECUTION, MODE_ORACLE, RunScore, score_run, summarize
 from mazenav.simulator import FaultKind, execute
 from mazenav.solver import reference_solution, solution_text
@@ -123,6 +124,12 @@ def _scripted_run(tmp_path, n_correct: int, n_test: int = 34):
     return run(spec, clock=lambda: 0.0)
 
 
+def _first_faults(records) -> Counter:
+    """The first fault kinds of the records in their scoring mode, counted."""
+    faults = (record.score(record.scoring_mode).first_fault for record in records)
+    return Counter(fault[1] for fault in faults if fault)
+
+
 def test_criterion_4_metrics_arithmetic(tmp_path, m0):
     (summary,) = _scripted_run(tmp_path, n_correct=18)
     assert summary.n == 34
@@ -194,8 +201,9 @@ def test_criterion_5c_fault_kind_fixtures(tmp_path, m0):
     assert score.first_fault[1] == FaultKind.UNPARSEABLE_STEP.value
     triggered.add(FaultKind.UNPARSEABLE_STEP)
 
-    (summary,) = _scripted_run(tmp_path, n_correct=0, n_test=2)
-    assert summary.fault_histogram == {}  # empty responses parse, score 0
+    _scripted_run(tmp_path, n_correct=0, n_test=2)
+    records = load_records(tmp_path / "out" / RECORDS_NAME)
+    assert _first_faults(records) == {}  # empty responses parse, score 0
     corpus_dir = tmp_path / "corpus"
     empty_script = tmp_path / "empty-script.json"
     empty_script.write_text("{}", encoding="utf-8")
@@ -206,8 +214,8 @@ def test_criterion_5c_fault_kind_fixtures(tmp_path, m0):
                                   endpoint=f"mock:{empty_script}")],
         scenarios=[Scenario("zero-shot", 0)],
     )
-    (summary,) = run(spec, clock=lambda: 0.0)
-    assert summary.fault_histogram == {FaultKind.PROVIDER_ERROR.value: 2}
+    records = run_records(spec, clock=lambda: 0.0)
+    assert _first_faults(records) == {FaultKind.PROVIDER_ERROR.value: 2}
     triggered.add(FaultKind.PROVIDER_ERROR)
 
     assert triggered == set(FaultKind)

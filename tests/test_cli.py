@@ -386,11 +386,11 @@ class TestMockEval:
         assert len(records) == 4 * 3 * 2
 
     def test_report_rendered_once(self, tmp_path, capsys, monkeypatch):
-        from mazenav import runner
+        from mazenav import report
 
         rendered = []
-        real = runner._report
-        monkeypatch.setattr(runner, "_report", lambda tally: rendered.append(1) or real(tally))
+        real = report._report
+        monkeypatch.setattr(report, "_report", lambda tally: rendered.append(1) or real(tally))
         assert run_cli("--workdir", tmp_path, "mock-eval", "--out", "run",
                        "--n-test", 2, "--n-shot", 6, "--seed", 11) == 0
         assert len(rendered) == 1
@@ -550,13 +550,17 @@ class TestStartup:
     DEFERRED = ("concurrent.futures", "logging", "csv", "hashlib", "_hashlib", "typing",
                 "urllib.request", "http.client", "ssl", "email")
 
-    def test_import_loads_no_deferred_module(self):
+    # Importing report first also shows that it imports nothing from runner,
+    # which imports it.
+    @pytest.mark.parametrize("module", ["mazenav.cli", "mazenav.report"])
+    def test_import_loads_no_deferred_module(self, module):
         src = str(Path(__file__).resolve().parents[1] / "src")
-        probe = ("import sys; sys.path.insert(0, sys.argv[1]); before = set(sys.modules); "
-                 "import mazenav.cli; print(*sorted(set(sys.modules) - before))")
-        out = subprocess.run([sys.executable, "-I", "-c", probe, src], check=True,
+        probe = ("import importlib, sys; sys.path.insert(0, sys.argv[1]); "
+                 "before = set(sys.modules); importlib.import_module(sys.argv[2]); "
+                 "print(*sorted(set(sys.modules) - before))")
+        out = subprocess.run([sys.executable, "-I", "-c", probe, src, module], check=True,
                              capture_output=True, text=True).stdout
         added = out.split()
-        assert "mazenav.cli" in added
+        assert module in added
         assert [m for m in added
                 if any(m == d or m.startswith(d + ".") for d in self.DEFERRED)] == []

@@ -2,7 +2,7 @@ import dataclasses
 import json
 import threading
 import time
-from collections import defaultdict
+from collections import Counter, defaultdict
 from pathlib import Path
 
 import pytest
@@ -120,8 +120,9 @@ class TestRun:
         path = tmp_path / "bad-script.json"
         path.write_text(json.dumps(script), encoding="utf-8")
         spec = make_spec(tmp_path, corpus_dir, f"mock:{path}", scenarios=[Scenario("zero-shot", 0)])
-        (summary,) = run(spec, clock=lambda: 0.0)
-        assert summary.fault_histogram == {FaultKind.PROVIDER_ERROR.value: len(corpus.tests)}
+        records = run_records(spec, clock=lambda: 0.0)
+        faults = Counter(r.score(r.scoring_mode).first_fault[1] for r in records)
+        assert faults == {FaultKind.PROVIDER_ERROR.value: len(corpus.tests)}
 
     def test_provider_error_scores_zero(self, tmp_path, small_corpus):
         corpus_dir, corpus = small_corpus
@@ -361,16 +362,40 @@ class TestResumeIntegrity:
         build_corpus(corpus_dir, GenConfig(seed=32), 4, 6)
         self.assert_refused(spec, log_path, monkeypatch, "was made from another prompt")
 
+    def test_corpus_rebuilt_under_another_provider(self, tmp_path, small_corpus, monkeypatch):
+        # The report puts every provider of the log in one table, so a record
+        # of a provider the spec does not name must come from its prompts too.
+        corpus_dir, corpus = small_corpus
+        endpoint = write_script(tmp_path, corpus, oracle_answers(corpus))
+        spec = make_spec(tmp_path, corpus_dir, endpoint, scenarios=[Scenario("zero-shot", 0)])
+        other = ProviderConfig(name="mock-b", model="mock-b-v1", endpoint=endpoint)
+        run(dataclasses.replace(spec, providers=[other]), clock=lambda: 0.0)
+        build_corpus(corpus_dir, GenConfig(seed=32), 4, 6)
+        self.assert_refused(spec, spec.output_dir / RECORDS_NAME, monkeypatch,
+                            r"record \('mock-b', 'mock-b-v1', 'zero-shot', 'test-000', 0\) "
+                            r".* was made from another prompt; use a fresh output directory")
+
+    def test_corpus_rebuilt_under_a_scenario_not_run(self, tmp_path, small_corpus, monkeypatch):
+        # The run has no prompt of a scenario it does not run, so the refusal
+        # comes from judging the reply, and names the scenario.
+        corpus_dir, corpus = small_corpus
+        spec, log_path = self.cut_run(tmp_path, corpus_dir, corpus,
+                                      scenarios=[ONE_SHOT, Scenario("zero-shot", 0)])
+        build_corpus(corpus_dir, GenConfig(seed=32), 4, 6)
+        self.assert_refused(dataclasses.replace(spec, scenarios=[Scenario("zero-shot", 0)]),
+                            log_path, monkeypatch,
+                            r"record \('mock-a', 'mock-a-v1', 'one-shot', 'test-000', 0\) .* is "
+                            r"for scenario 'one-shot', which this spec does not run, and does not "
+                            r"match its reply \(trace differs\); use a fresh output directory")
+
     def test_system_prompt_edited(self, tmp_path, small_corpus, monkeypatch):
         corpus_dir, corpus = small_corpus
         spec, log_path = self.cut_run(tmp_path, corpus_dir, corpus)
         monkeypatch.setattr(gateway, "SYSTEM_PROMPT", gateway.SYSTEM_PROMPT + "Be brief.\n")
-        kept = log_path.read_text(encoding="utf-8")
-        # Records of a provider the spec does not name are left as they are.
+        # Records of a provider the spec does not name are checked too.
         other = make_spec(tmp_path, corpus_dir, spec.providers[0].endpoint, providers=[
             ProviderConfig(name="mock-b", model="mock-b-v1", endpoint=spec.providers[0].endpoint)])
-        run(other, clock=lambda: 0.0)
-        assert log_path.read_text(encoding="utf-8").startswith(kept)
+        self.assert_refused(other, log_path, monkeypatch, "was made from another prompt")
         self.assert_refused(spec, log_path, monkeypatch, "was made from another prompt")
 
     def test_provider_re_pointed_to_another_model(self, tmp_path, small_corpus, monkeypatch):

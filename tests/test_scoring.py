@@ -142,15 +142,6 @@ class TestAggregate:
         with pytest.raises(ValueError):
             summarize("m", "few-shot", [])
 
-    def test_fault_histogram(self):
-        scores = [
-            RunScore(False, 0.0, (0, "WallBlocked"), MODE_EXECUTION),
-            RunScore(False, 0.5, (4, "WallBlocked"), MODE_EXECUTION),
-            RunScore(True, 1.0, None, MODE_EXECUTION),
-        ]
-        summary = summarize("m", "few-shot", scores)
-        assert summary.fault_histogram == {"WallBlocked": 2}
-
     @given(
         st.lists(
             st.one_of(

@@ -14,8 +14,8 @@ import sys
 import time
 from pathlib import Path
 
-from .corpus import CorpusError, build_corpus, load_corpus
-from .gateway import DEFAULT_SCENARIOS, GatewayError, ProviderConfig
+from .corpus import MANIFEST_NAME, CorpusError, build_corpus, load_corpus
+from .gateway import DEFAULT_SCENARIOS, GatewayError, ProviderConfig, mock_key
 from .generate import GenConfig, GenerationError, generate
 from .report import render_reports
 from .runner import (
@@ -35,6 +35,9 @@ from .textform import load_description, read_utf8, render_ascii, serialize
 # SpecError all subclass ValueError.
 _ERRORS = (ValueError, GenerationError, GatewayError, OSError)
 
+# The corpus gen writes, and mock-eval builds, when no flag says otherwise.
+_CORPUS_DEFAULTS = {"n_test": 34, "n_shot": 6, "seed": 42}
+
 
 def _gen_config(args) -> GenConfig:
     return GenConfig(
@@ -50,12 +53,9 @@ def _gen_config(args) -> GenConfig:
 
 
 def _add_gen_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--rows", type=int, default=2)
-    p.add_argument("--cols", type=int, default=5)
-    p.add_argument("--wall-count", type=int, default=4)
-    p.add_argument("--min-path", type=int, default=3)
-    p.add_argument("--max-path", type=int, default=6)
-    p.add_argument("--seed", type=int, default=42)
+    for name in ("rows", "cols", "wall_count", "min_path", "max_path"):
+        p.add_argument(f"--{name.replace('_', '-')}", type=int, default=getattr(GenConfig, name))
+    p.add_argument("--seed", type=int, default=_CORPUS_DEFAULTS["seed"])
     p.add_argument("--allow-tied-optima", action="store_true",
                    help="do not require a unique minimal solution")
     p.add_argument("--any-sides", action="store_true",
@@ -153,7 +153,7 @@ def _mock_script(corpus, flaw_every: int | None) -> dict:
         if flaw_every and i % flaw_every == 1:
             text = "\n".join(text.splitlines()[:2])
         for scenario in DEFAULT_SCENARIOS:
-            script[f"{maze_id}|{scenario.name}"] = text
+            script[mock_key(maze_id, scenario.name)] = text
     return script
 
 
@@ -172,7 +172,7 @@ def cmd_mock_eval(args) -> int:
         concurrency=args.concurrency,
         experiment_id="mock-eval",
     )
-    reused = (corpus_dir / "manifest.json").exists()
+    reused = (corpus_dir / MANIFEST_NAME).exists()
     if reused:
         corpus = load_corpus(corpus_dir)
         # A reused corpus must match every flag given; flags left out are not compared.
@@ -186,12 +186,11 @@ def cmd_mock_eval(args) -> int:
                               "use another --out or --corpus, or leave those flags out")
         n_test, n_shot = len(corpus.tests), len(corpus.shots)
     else:
-        n_test = 34 if args.n_test is None else args.n_test
-        n_shot = 6 if args.n_shot is None else args.n_shot
+        n_test, n_shot, seed = (_CORPUS_DEFAULTS[name] if getattr(args, name) is None
+                                else getattr(args, name) for name in _CORPUS_DEFAULTS)
     check_corpus_size(spec, n_test, n_shot)
     if not reused:
-        corpus = build_corpus(corpus_dir, GenConfig(seed=42 if args.seed is None else args.seed),
-                              n_test, n_shot)
+        corpus = build_corpus(corpus_dir, GenConfig(seed=seed), n_test, n_shot)
 
     out.mkdir(parents=True, exist_ok=True)
     for name, path in scripts.items():
@@ -209,8 +208,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", help="generate and write a maze corpus")
     _add_gen_options(p)
     p.add_argument("--out", type=Path, default=Path("corpus"))
-    p.add_argument("--n-test", type=int, default=34)
-    p.add_argument("--n-shot", type=int, default=6)
+    p.add_argument("--n-test", type=int, default=_CORPUS_DEFAULTS["n_test"])
+    p.add_argument("--n-shot", type=int, default=_CORPUS_DEFAULTS["n_shot"])
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("render", help="print an ASCII drawing of a maze file")
@@ -250,9 +249,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mock-eval", help="end-to-end run against scripted providers")
     p.add_argument("--out", type=Path, default=Path("mock-run"))
     p.add_argument("--corpus", type=Path, help="reuse an existing corpus directory")
-    p.add_argument("--n-test", type=int, help="default 34; a reused corpus must match")
-    p.add_argument("--n-shot", type=int, help="default 6; a reused corpus must match")
-    p.add_argument("--seed", type=int, help="default 42; a reused corpus must match")
+    for name, default in _CORPUS_DEFAULTS.items():
+        p.add_argument(f"--{name.replace('_', '-')}", type=int,
+                       help=f"default {default}; a reused corpus must match")
     p.add_argument("--mode", choices=MODES, default=MODE_ORACLE)
     p.add_argument("--concurrency", type=int, default=4)
     p.set_defaults(func=cmd_mock_eval)

@@ -22,7 +22,7 @@ from pathlib import Path
 
 from .generate import GenConfig, generate_corpus
 from .grid import Maze
-from .textform import parse, serialize
+from .textform import parse, read_utf8, serialize
 
 MANIFEST_NAME = "manifest.json"
 FORMAT = "maze-corpus/1"
@@ -108,9 +108,9 @@ def load_corpus(directory) -> Corpus:
     for entry in manifest["mazes"]:
         path = directory / entry["file"]
         try:
-            text = path.read_text(encoding="utf-8")
-        except UnicodeDecodeError as err:
-            raise CorpusError(f"{path} is not UTF-8 text: {err}") from None
+            text = read_utf8(path)
+        except ValueError as err:
+            raise CorpusError(str(err)) from None
         if _sha256(text) != entry["sha256"]:
             raise CorpusError(f"checksum mismatch for {entry['file']}")
         try:

@@ -19,10 +19,11 @@ verified against the system CA store. The rate cap and the retry policy
 apply to every attempt.
 
 Endpoints starting with ``mock:`` are served from a JSON script file mapping
-"<maze_id>|<scenario>" keys to response text; "*" is the fallback key. Mock
-completions are fully deterministic and need no credentials. A script that
-cannot be read, or is not a JSON object, is a RequestRejected, so it stops
-the run; a missing key or a reply that is not text fails only its trial.
+``mock_key`` keys, "<maze_id>|<scenario>", to response text; "*" is the
+fallback key. Mock completions are fully deterministic and need no
+credentials. A script that cannot be read, or is not a JSON object, is a
+RequestRejected, so it stops the run; a missing key or a reply that is not
+text fails only its trial.
 """
 
 from __future__ import annotations
@@ -330,6 +331,11 @@ def _http_transport(url: str, headers: dict, payload: dict, timeout: float):
         return status, json.loads(raw)
     except ValueError:
         return status, raw.decode("utf-8", errors="replace")
+
+
+def mock_key(maze_id: str, scenario: str) -> str:
+    """The trial key a mock script gives the reply to one maze in one scenario."""
+    return f"{maze_id}|{scenario}"
 
 
 def _mock_complete(cfg: ProviderConfig, messages, trial_key: str | None) -> Completion:

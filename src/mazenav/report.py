@@ -4,7 +4,8 @@ A tally reads one outcome row per record; the accuracy summaries, the
 per-provider fault histogram and the per-maze difficulty table are each one
 grouping of those rows. Rows are keyed by provider name, so a log in which
 one name holds two models is refused. ``csv`` is imported on first use.
-This module imports nothing from ``runner``, which re-exports its names.
+This module imports nothing from ``runner``, which re-exports three of its
+names for the benchmark.
 """
 
 from __future__ import annotations
@@ -84,16 +85,17 @@ def summaries_from(records: list, mode: str | None = None) -> list[MetricsSummar
 
 
 def _table(summaries: list[MetricsSummary], metric: str, title: str) -> list[str]:
+    """One accuracy table, its rows sorted by the first scenario column, which
+    its title names."""
     scenarios = [s for s in SCENARIO_ORDER if any(x.scenario == s for x in summaries)]
     scenarios += sorted({x.scenario for x in summaries} - set(scenarios))
     by_model: dict[str, dict[str, float]] = {}
     for s in summaries:
         by_model.setdefault(s.model, {})[s.scenario] = getattr(s, metric)
-    sort_col = scenarios[0] if scenarios else ""
-    rows = sorted(by_model.items(), key=lambda kv: kv[1].get(sort_col, -1.0))
+    rows = sorted(by_model.items(), key=lambda kv: kv[1].get(scenarios[0], -1.0))
     name_w = max([len("Model")] + [len(m) for m in by_model])
     head = "Model".ljust(name_w) + "".join(f"  {sc:>10}" for sc in scenarios)
-    out = [title, "-" * len(head), head]
+    out = [f"{title} (sorted by {scenarios[0]} performance)", "-" * len(head), head]
     for model, cells in rows:
         line = model.ljust(name_w)
         for sc in scenarios:
@@ -105,10 +107,8 @@ def _table(summaries: list[MetricsSummary], metric: str, title: str) -> list[str
 
 def _report(tally: _Tally) -> str:
     lines = [f"Scoring mode: {tally.mode}", f"Records: {len(tally.rows)}", ""]
-    for metric, title in (
-        ("complete_pct", "Complete Path Accuracy [%] (sorted by few-shot performance)"),
-        ("partial_pct", "Partial Path Accuracy [%] (sorted by few-shot performance)"),
-    ):
+    for metric, title in (("complete_pct", "Complete Path Accuracy [%]"),
+                          ("partial_pct", "Partial Path Accuracy [%]")):
         lines.extend(_table(tally.summaries, metric, title))
         lines.append("")
 

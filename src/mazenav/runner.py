@@ -55,12 +55,13 @@ from .gateway import (
     Scenario,
     _check_types,
     build_messages,
+    mock_key,
     prompt_hash,
 )
 from .grid import Maze
 from .instructions import ParsedResponse, instruction_to_dict, parse_response
 # perfbench calls report_text, summary_csv and summaries_from here; its tracer patches two.
-from .report import SpecError, render_reports, report_text, summaries_from, summary_csv
+from .report import SpecError, report_text, summaries_from, summary_csv
 from .scoring import MODES, MODE_ORACLE, MetricsSummary, RunScore, score_run
 from .simulator import ExecutionTrace, Fault, FaultKind, execute
 from .solver import Solution, reference_solution
@@ -407,7 +408,7 @@ def run_records(spec: ExperimentSpec, *, clock=time.time) -> list[RunRecord]:
         # Workers make only the provider call; this thread does the rest.
         calls = [
             pool.submit(gateway.complete, provider, prompts[scenario.name, maze_id][0],
-                        trial_key=f"{maze_id}|{scenario.name}")
+                        trial_key=mock_key(maze_id, scenario.name))
             for provider, scenario, maze_id, _, _ in planned
         ]
         try:

@@ -1,6 +1,7 @@
 import hashlib
 import importlib
 import json
+import re
 import subprocess
 import sys
 import time
@@ -564,3 +565,42 @@ class TestStartup:
         assert module in added
         assert [m for m in added
                 if any(m == d or m.startswith(d + ".") for d in self.DEFERRED)] == []
+
+    def test_package_import_loads_no_submodule(self):
+        # Each name is imported from the module that defines it, so the package
+        # namespace needs none of them.
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        probe = ("import sys; sys.path.insert(0, sys.argv[1]); import mazenav; "
+                 "print(*sorted(m for m in sys.modules if m.startswith('mazenav.')))")
+        out = subprocess.run([sys.executable, "-I", "-c", probe, src], check=True,
+                             capture_output=True, text=True).stdout
+        assert out.split() == []
+
+
+class TestImportPaths:
+    REPO = Path(__file__).resolve().parents[1]
+
+    def test_generate_is_the_module(self):
+        import mazenav.generate as g
+
+        assert g is sys.modules["mazenav.generate"]
+        assert g.WORK_BUDGET == 100_000_000
+
+    def test_documented_names_resolve(self):
+        # Every `mazenav.<module>.<name>` the docs give is an attribute path.
+        import mazenav
+
+        docs = [self.REPO / "README.md", *sorted((self.REPO / "docs").glob("*.md"))]
+        names = {match for path in docs
+                 for match in re.findall(r"`mazenav\.(\w+)\.([\w.]+)`",
+                                         path.read_text(encoding="utf-8"))}
+        assert ("generate", "WORK_BUDGET") in names
+        unresolved = []
+        for module, name in sorted(names):
+            importlib.import_module(f"mazenav.{module}")
+            target = getattr(mazenav, module)
+            for part in name.split("."):
+                target = getattr(target, part, None)
+            if target is None:
+                unresolved.append(f"mazenav.{module}.{name}")
+        assert unresolved == []

@@ -20,6 +20,7 @@ from mazenav.gateway import (
 )
 from mazenav.generate import GenConfig
 from mazenav.instructions import Turn, render_sequence
+from mazenav.report import render_reports
 from mazenav.runner import (
     RECORDS_NAME,
     ExperimentSpec,
@@ -28,7 +29,6 @@ from mazenav.runner import (
     _load_records,
     load_records,
     load_spec,
-    render_reports,
     report_text,
     run,
     run_records,
@@ -949,6 +949,17 @@ class TestReport:
         text = report_text(load_records(spec.output_dir / RECORDS_NAME))
         table = text[text.index("Complete Path"):]
         assert table.index("weak") < table.index("strong")
+
+    @pytest.mark.parametrize("kept, sorted_by", [(("one-shot", "zero-shot"), "one-shot"),
+                                                  (("zero-shot",), "zero-shot")])
+    def test_titles_name_the_scenario_rows_are_sorted_by(self, tmp_path, small_corpus,
+                                                          kept, sorted_by):
+        # A log without few-shot records sorts its rows by its first scenario column.
+        records = [r for r in self.run_mixed(tmp_path, small_corpus) if r.scenario in kept]
+        text = report_text(records)
+        for metric in ("Complete", "Partial"):
+            assert f"\n{metric} Path Accuracy [%] (sorted by {sorted_by} performance)\n" in text
+        assert "few-shot" not in text
 
 
 class TestSpecLoading:

@@ -172,7 +172,8 @@ def cmd_mock_eval(args) -> int:
         concurrency=args.concurrency,
         experiment_id="mock-eval",
     )
-    reused = (corpus_dir / MANIFEST_NAME).exists()
+    # --corpus names a corpus to reuse: with no manifest, load_corpus refuses it.
+    reused = args.corpus is not None or (corpus_dir / MANIFEST_NAME).exists()
     if reused:
         corpus = load_corpus(corpus_dir)
         # A reused corpus must match every flag given; flags left out are not compared.

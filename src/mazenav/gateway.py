@@ -3,10 +3,10 @@
 One wire dialect is spoken: the OpenAI-compatible chat-completions shape,
 with per-provider endpoint overrides. Every call builds its payload from
 scratch (no conversation state is ever reused) and the full message list is
-hashable, which is what makes trials resumable. A run shares one
-``PromptCache`` across its trials, so each maze is serialized and each
-scenario's solved examples are rendered once per run; the messages are the
-same as without it.
+hashable, which is what makes trials resumable. A run builds its prompts on
+one thread, before the first call, and passes ``build_messages`` one dict of
+question messages, so each maze is serialized once per run; the messages are
+the same as without it.
 
 HTTP goes through the standard library (``urllib.request``), imported on
 the first request, as ``hashlib`` is on the first prompt hash: every command
@@ -196,56 +196,32 @@ def build_messages(
     shots: list[tuple[Maze, Solution]],
     scenario: Scenario,
     *,
-    cache: PromptCache | None = None,
+    cache: dict[Maze, ChatMessage] | None = None,
 ) -> list[ChatMessage]:
     """System prompt, then one solved example per shot, then the test question.
 
-    ``cache`` reuses the parts that repeat across the trials of one run; the
-    messages are the same with or without it.
+    ``cache`` maps each maze to its question message, so a run that passes
+    one dict serializes each maze once; the messages are the same without it.
     """
     if len(shots) != scenario.k:
         raise ValueError(f"{scenario.name} needs {scenario.k} shots, got {len(shots)}")
     if any(shot_maze == test_maze for shot_maze, _ in shots):
         raise ValueError("shot maze equals the test maze")
     if cache is None:
-        cache = PromptCache()
-    return [*cache.prefix(shots, scenario), cache.question(test_maze)]
+        cache = {}
 
-
-class PromptCache:
-    """Prompt parts shared by the trials of one run: the question message of
-    each maze, serialized once, and the system-and-examples prefix of each
-    scenario, built once. It grows with the run's mazes and scenarios, so
-    make one per run. Worker threads may share it: a race at worst builds
-    the same message twice."""
-
-    def __init__(self) -> None:
-        self._questions: dict[Maze, ChatMessage] = {}
-        self._prefixes: dict[str, tuple[tuple, tuple[ChatMessage, ...]]] = {}
-
-    def question(self, maze: Maze) -> ChatMessage:
-        message = self._questions.get(maze)
+    def question(maze: Maze) -> ChatMessage:
+        message = cache.get(maze)
         if message is None:
-            message = ChatMessage("user", f"{TEST_QUESTION}\n\n{serialize(maze).text}")
-            self._questions[maze] = message
+            message = cache[maze] = ChatMessage("user", f"{TEST_QUESTION}\n\n{serialize(maze).text}")
         return message
 
-    def prefix(
-        self, shots: list[tuple[Maze, Solution]], scenario: Scenario
-    ) -> tuple[ChatMessage, ...]:
-        # One slot per scenario, reused while its shots are equal; within a
-        # run they are the same objects, so the comparison is cheap.
-        shots = tuple(shots)
-        cached = self._prefixes.get(scenario.name)
-        if cached is not None and cached[0] == shots:
-            return cached[1]
-        messages = [ChatMessage("system", SYSTEM_PROMPT)]
-        for shot_maze, solution in shots:
-            messages.append(self.question(shot_maze))
-            messages.append(ChatMessage("assistant", render_sequence(solution.instructions)))
-        prefix = tuple(messages)
-        self._prefixes[scenario.name] = (shots, prefix)
-        return prefix
+    messages = [ChatMessage("system", SYSTEM_PROMPT)]
+    for shot_maze, solution in shots:
+        messages.append(question(shot_maze))
+        messages.append(ChatMessage("assistant", render_sequence(solution.instructions)))
+    messages.append(question(test_maze))
+    return messages
 
 
 def prompt_hash(messages: list[ChatMessage]) -> str:

@@ -49,7 +49,6 @@ from .gateway import (
     DEFAULT_SCENARIOS,
     AuthError,
     GatewayError,
-    PromptCache,
     ProviderConfig,
     RequestRejected,
     Scenario,
@@ -187,8 +186,9 @@ class RunRecord:
         if not isinstance(record.scores, dict) or not all(
                 RunScore.is_stored(record.scores.get(mode)) for mode in MODES):
             raise ValueError(f"scores must hold a score for each of {', '.join(MODES)}: a bool "
-                             "complete, a number partial, a null or [int, str] first_fault "
-                             "and a string mode")
+                             "complete, a partial in [0, 1], a null or [step, fault kind] "
+                             "first_fault and a string mode; a complete one has partial 1 "
+                             "and no fault")
         # Outside input: the poses must have the shape ExecutionTrace.to_dict writes.
         poses = record.trace.get("poses") if isinstance(record.trace, dict) else None
         if not isinstance(poses, list) or not all(
@@ -374,11 +374,11 @@ def run_records(spec: ExperimentSpec, *, clock=time.time) -> list[RunRecord]:
     shot_solutions = [(maze, reference_solution(maze)) for _, maze in corpus.shots]
     # Every prompt is built and hashed here, once per scenario and test maze,
     # before the first provider call is paid for.
-    cache, prompts = PromptCache(), {}
+    questions, prompts = {}, {}
     for scenario in spec.scenarios:
         shots = shots_for(scenario, shot_solutions)
         for maze_id, maze in corpus.tests:
-            messages = build_messages(maze, shots, scenario, cache=cache)
+            messages = build_messages(maze, shots, scenario, cache=questions)
             prompts[scenario.name, maze_id] = messages, prompt_hash(messages)
 
     spec.output_dir.mkdir(parents=True, exist_ok=True)

@@ -55,16 +55,23 @@ class RunScore:
 
     @staticmethod
     def is_stored(data) -> bool:
-        """Whether ``data`` has the shape ``to_dict`` writes, so that
-        ``from_dict`` and the report can read it."""
+        """Whether ``data`` is a score ``to_dict`` could have written, so that
+        ``from_dict`` and the report can read it: a partial in [0, 1] (so not
+        NaN), a fault at a step >= 0 of a FaultKind, and a complete score at
+        partial 1 with no fault."""
         if not isinstance(data, dict) or "first_fault" not in data:
             return False
-        fault = data["first_fault"]
-        return (type(data.get("complete")) is bool
-                and type(data.get("partial")) in (int, float)
+        complete, partial, fault = data.get("complete"), data.get("partial"), data["first_fault"]
+        return (type(complete) is bool
+                and type(partial) in (int, float) and 0 <= partial <= 1
                 and (fault is None or (type(fault) is list and len(fault) == 2
-                                       and type(fault[0]) is int and isinstance(fault[1], str)))
+                                       and type(fault[0]) is int and fault[0] >= 0
+                                       and fault[1] in _FAULT_KINDS))
+                and (not complete or (partial == 1 and fault is None))
                 and isinstance(data.get("mode"), str))
+
+
+_FAULT_KINDS = tuple(kind.value for kind in FaultKind)
 
 
 @dataclass(frozen=True)

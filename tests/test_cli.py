@@ -492,6 +492,13 @@ class TestMockEval:
                                            "'not a maze'\n")
         assert not (tmp_path / "run").exists()
 
+    def test_corpus_flag_without_manifest_is_an_error_line(self, tmp_path, capsys):
+        # --corpus names a corpus to reuse; a mistyped one must not be built afresh.
+        assert run_cli("--workdir", tmp_path, "mock-eval", "--corpus", "typo", "--out", "r",
+                       "--n-test", 2) == 1
+        assert capsys.readouterr().err == f"error: no manifest.json in {tmp_path / 'typo'}\n"
+        assert not (tmp_path / "typo").exists() and not (tmp_path / "r").exists()
+
     def test_seeded_run_bytes_pinned(self, tmp_path, capsys):
         # The digests the CI workflow checks; a change to any of these bytes
         # changes records, prompts or reports.

@@ -19,7 +19,6 @@ from mazenav.gateway import (
     ChatMessage,
     Completion,
     GatewayError,
-    PromptCache,
     MalformedResponse,
     ProviderConfig,
     RequestRejected,
@@ -118,7 +117,7 @@ class TestBuildMessages:
 
 class TestPromptCache:
     def test_same_messages_as_without_cache(self, m0, m0_nowall, shot_pool):
-        cache = PromptCache()
+        cache = {}
         pool = [(m, s) for m, s in shot_pool if m not in (m0, m0_nowall)]
         for test_maze in (m0, m0_nowall, m0):
             for scenario, shots in ((ZERO_SHOT, []), (ONE_SHOT, pool[:1]), (FEW_SHOT, pool[:5])):
@@ -130,14 +129,14 @@ class TestPromptCache:
         serialized = []
         real = gateway.serialize
         monkeypatch.setattr(gateway, "serialize", lambda m: serialized.append(m) or real(m))
-        cache = PromptCache()
+        cache = {}
         for _ in range(3):
             for test_maze in (m0, m0_nowall):
                 build_messages(test_maze, shot_pool[:5], FEW_SHOT, cache=cache)
         assert len(serialized) == 5 + 2
 
     def test_other_shots_rebuild_the_prefix(self, m0, shot_pool):
-        cache = PromptCache()
+        cache = {}
         first = build_messages(m0, shot_pool[:1], ONE_SHOT, cache=cache)
         second = build_messages(m0, shot_pool[1:2], ONE_SHOT, cache=cache)
         assert second == build_messages(m0, shot_pool[1:2], ONE_SHOT)
@@ -152,7 +151,7 @@ class TestPromptCache:
             for i, maze in enumerate(mazes)
             for scenario, s in scenarios
         }
-        cache = PromptCache()
+        cache = {}
         got = []
 
         def worker():
@@ -179,7 +178,7 @@ class TestPromptCache:
 
     def test_validation_still_applies(self, m0):
         with pytest.raises(ValueError):
-            build_messages(m0, [(m0, reference_solution(m0))], ONE_SHOT, cache=PromptCache())
+            build_messages(m0, [(m0, reference_solution(m0))], ONE_SHOT, cache={})
 
 
 class TestPromptHash:

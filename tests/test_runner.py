@@ -291,6 +291,22 @@ class TestRun:
         assert counts == {"build_messages": scenarios_x_mazes, "prompt_hash": scenarios_x_mazes}
         assert log_path.read_text(encoding="utf-8") == "".join(lines)
 
+    def test_each_sent_maze_serialized_once(self, tmp_path, small_corpus, monkeypatch):
+        # The run's question dict serializes each test and shot maze once across
+        # all three scenarios, and a no-op rerun does the same.
+        corpus_dir, corpus = small_corpus
+        endpoint = write_script(tmp_path, corpus, oracle_answers(corpus))
+        spec = make_spec(tmp_path, corpus_dir, endpoint)
+        serialized = Counter()
+        real = gateway.serialize
+        monkeypatch.setattr(gateway, "serialize",
+                            lambda maze: serialized.update([maze]) or real(maze))
+        sent = Counter(maze for _, maze in corpus.tests + corpus.shots)
+        for _ in range(2):
+            serialized.clear()
+            run(spec, clock=lambda: 0.0)
+            assert serialized == sent
+
     def test_prompt_hash_recomputable(self, tmp_path, small_corpus):
         from mazenav.gateway import build_messages, prompt_hash
         from mazenav.runner import shots_for
@@ -806,11 +822,23 @@ class TestRecordLog:
         ("trace", lambda r: r["trace"].update(poses=[[True, "N"]])),
         ("trace", lambda r: r["trace"].update(poses=[[8, 0]])),
         ("response", lambda r: r.update(response=5)),
+        ("scores", lambda r: r["scores"][MODE_ORACLE].update(partial=float("nan"))),
+        ("scores", lambda r: r["scores"][MODE_ORACLE].update(partial=float("inf"))),
+        ("scores", lambda r: r["scores"][MODE_ORACLE].update(complete=False, partial=-0.5)),
+        ("scores", lambda r: r["scores"][MODE_ORACLE].update(complete=False, partial=1.5)),
+        ("scores", lambda r: r["scores"][MODE_EXECUTION].update(
+            complete=False, partial=0.5, first_fault=[-1, "OffGrid"])),
+        ("scores", lambda r: r["scores"][MODE_EXECUTION].update(
+            complete=False, partial=0.5, first_fault=[1, "Lost"])),
+        ("scores", lambda r: r["scores"][MODE_ORACLE].update(partial=0.5)),
+        ("scores", lambda r: r["scores"][MODE_EXECUTION].update(first_fault=[1, "OffGrid"])),
     ], ids=["mode-unknown", "mode-null", "execution-empty", "no-first-fault", "complete-str",
             "complete-int", "partial-str", "partial-bool", "fault-short", "fault-step-str",
             "fault-step-bool", "fault-kind-int", "fault-str", "mode-in-score-null",
             "trace-list", "no-poses", "pose-short", "pose-cell-str", "pose-cell-bool",
-            "pose-heading-int", "response-int"])
+            "pose-heading-int", "response-int", "partial-nan", "partial-inf",
+            "partial-negative", "partial-above-one", "fault-step-negative",
+            "fault-kind-unknown", "complete-partial", "complete-fault"])
     def test_record_with_unreadable_mode_or_score_is_corrupt(self, tmp_path, small_corpus,
                                                              reason, edit):
         # The report or the resume check would stop on these with a traceback, or misread them.

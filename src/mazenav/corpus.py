@@ -6,7 +6,8 @@ ids ``save_corpus`` gave them, and the manifest's config. It reads nothing
 back. ``load_corpus`` is the only thing that parses corpus files; it checks
 the manifest's shape and every file's sha256, and parses every file on each
 load. Before it reads any file it checks every entry: ``id``, ``role``,
-``file`` and ``sha256`` are strings, and no two entries share an id or a
+``file`` and ``sha256`` are strings, ``file`` is a bare file name (no maze
+is read from outside the directory), and no two entries share an id or a
 file, since runs, records and reports key each maze by its id. A manifest
 that is not JSON and a maze file that is not UTF-8 text raise
 ``CorpusError`` naming the file. ``hashlib`` is imported on the first hash,
@@ -99,6 +100,9 @@ def load_corpus(directory) -> Corpus:
                               f"sha256: {entry!r}")
         if entry["role"] not in ("test", "shot"):
             raise CorpusError(f"{manifest_path}: {entry['id']} has unknown role {entry['role']!r}")
+        if Path(entry["file"]).name != entry["file"] or entry["file"] in ("", ".", ".."):
+            raise CorpusError(f"{manifest_path}: {entry['id']} has file {entry['file']!r}, "
+                              "which is not a file name in the corpus directory")
         for name, values in seen.items():
             if entry[name] in values:
                 raise CorpusError(f"{manifest_path}: {entry['id']} repeats the {name} "

@@ -83,11 +83,11 @@ class Maze:
     iterable of adjacent cell pairs is accepted at construction time.
     """
 
-    rows: int = 2
-    cols: int = 5
-    walls: frozenset = frozenset()
-    entrance: Opening = Opening(0, Heading.N)
-    exit: Opening = Opening(0, Heading.N)
+    rows: int
+    cols: int
+    walls: frozenset
+    entrance: Opening
+    exit: Opening
 
     def __post_init__(self) -> None:
         if self.rows < 1 or self.cols < 1:

@@ -204,12 +204,3 @@ def instruction_to_dict(instr: Instruction) -> dict:
         if isinstance(instr, cls):
             return {"kind": kind, "cell": instr.cell}
     raise TypeError(f"not an instruction: {instr!r}")
-
-
-def instruction_from_dict(data: dict) -> Instruction:
-    kind = data["kind"]
-    if kind == "turn":
-        return Turn(data["direction"])
-    if kind in _KINDS:
-        return _KINDS[kind](data["cell"])
-    raise ValueError(f"unknown instruction kind: {kind!r}")

@@ -65,6 +65,10 @@ from .scoring import MODES, MODE_ORACLE, MetricsSummary, RunScore, score_run
 from .simulator import ExecutionTrace, Fault, FaultKind, execute
 from .solver import Solution, reference_solution
 
+TYPE_CHECKING = False  # true for a type checker; run_records imports the pool on first use
+if TYPE_CHECKING:
+    from concurrent.futures import Future
+
 RECORDS_NAME = "records.jsonl"
 
 

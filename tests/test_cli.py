@@ -145,7 +145,7 @@ class TestVerify:
 
     @pytest.mark.parametrize("mode", ["oracle-match", "execution"])
     @pytest.mark.parametrize("edit", ["whole", "first-two", "junk-inside", "wrong-turn",
-                                      "prose-around", "empty"])
+                                      "prose-around", "empty", "over-long-position"])
     def test_prints_what_the_record_stores(self, tmp_path, capsys, mode, edit):
         from mazenav.solver import solution_text
 
@@ -159,6 +159,8 @@ class TestVerify:
                            .replace("LEFT", "right") for line in lines],
             "prose-around": ["Here is the route:"] + lines + ["Done."],
             "empty": [],
+            # int() refuses a position past 4,300 digits: a rejected line, not an error.
+            "over-long-position": lines + ["Walk forward to position " + "7" * 5000],
         }[edit])
         (tmp_path / "reply.txt").write_text(reply, encoding="utf-8")
         (tmp_path / "script.json").write_text(json.dumps({"test-000|zero-shot": reply}),
@@ -302,6 +304,7 @@ class TestEvalAndReport:
         ("providers", {"temperature": "0.2"}, "temperature"),
         ("scenarios", {"name": "one-shot", "k": 1.5}, "k"),
         ("providers", {"endpoint": "htp://127.0.0.1:9/v1"}, "endpoint"),
+        ("providers", {"max_retries": 1000000}, "max_retries"),
     ])
     def test_field_type_refused(self, tmp_path, capsys, section, entry, field):
         self.build_experiment(tmp_path)
@@ -315,6 +318,13 @@ class TestEvalAndReport:
         assert f"{field} must be" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_empty_scenario_list_refused(self, tmp_path, capsys):
+        self.build_experiment(tmp_path)
+        spec = json.loads((tmp_path / "exp.json").read_text(encoding="utf-8"))
+        (tmp_path / "exp.json").write_text(json.dumps({**spec, "scenarios": []}), encoding="utf-8")
+        assert run_cli("--workdir", tmp_path, "eval", "--spec", "exp.json") == 1
+        assert "at least one scenario is required" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_malformed_manifest_is_an_error_line(self, tmp_path, capsys):
         self.build_experiment(tmp_path)
@@ -353,7 +363,9 @@ class TestEvalAndReport:
     @pytest.mark.parametrize("edit", [
         lambda r: r.update(scoring_mode="exact"),
         lambda r: r["scores"].update(execution={}),
-    ], ids=["unknown-mode", "empty-execution-score"])
+        # On an incomplete score, where only the range check refuses a NaN.
+        lambda r: r["scores"]["oracle-match"].update(complete=False, partial=float("nan")),
+    ], ids=["unknown-mode", "empty-execution-score", "partial-nan"])
     def test_record_the_report_cannot_read_is_an_error_line(self, tmp_path, capsys, edit):
         self.build_experiment(tmp_path)
         assert run_cli("--workdir", tmp_path, "eval", "--spec", "exp.json") == 0

@@ -2,6 +2,7 @@ import importlib
 import json
 import random
 import time
+from pathlib import Path
 
 import pytest
 
@@ -276,10 +277,16 @@ class TestCorpusIO:
         lambda m: m["mazes"][0].update(id=7),
         lambda m: m["mazes"][0].update(file=7),
         lambda m: m["mazes"][1].update(file=m["mazes"][0]["file"], sha256=m["mazes"][0]["sha256"]),
+        lambda m: m["mazes"][0].update(file="../outside.maze"),
+        lambda m: m["mazes"][0].update(file=str(Path("outside.maze").resolve())),
     ], ids=["no-mazes", "mazes-object", "config-list", "no-sha256", "no-id", "unknown-role",
-            "entry-number", "repeated-id", "integer-id", "integer-file", "repeated-file"])
-    def test_malformed_manifest_refused(self, tmp_path, change):
+            "entry-number", "repeated-id", "integer-id", "integer-file", "repeated-file",
+            "file-outside-relative", "file-outside-absolute"])
+    def test_malformed_manifest_refused(self, tmp_path, monkeypatch, change):
         build_corpus(tmp_path / "c", GenConfig(seed=4), 1, 1)
+        # The entries that leave the corpus directory name a copy of test-000.maze.
+        (tmp_path / "outside.maze").write_bytes((tmp_path / "c" / "test-000.maze").read_bytes())
+        monkeypatch.chdir(tmp_path)
         path = tmp_path / "c" / "manifest.json"
         manifest = json.loads(path.read_text(encoding="utf-8"))
         change(manifest)

@@ -17,7 +17,6 @@ from mazenav.instructions import (
     UnparseableLine,
     _ENUM_MARKER,
     canonical_render,
-    instruction_from_dict,
     instruction_to_dict,
     normalize_line,
     parse_line,
@@ -114,7 +113,10 @@ def test_canonical_render_round_trip(instr):
 
 @given(instruction_values)
 def test_dict_round_trip(instr):
-    assert instruction_from_dict(instruction_to_dict(instr)) == instr
+    # The shape a record stores: the kind, and the turn's direction or the cell.
+    kind = {StepIn: "step_in", Turn: "turn", Forward: "forward", ExitAt: "exit_at"}[type(instr)]
+    value = {"direction": instr.direction} if kind == "turn" else {"cell": instr.cell}
+    assert instruction_to_dict(instr) == {"kind": kind, **value}
 
 
 def test_negative_cell_rejected():

@@ -1,13 +1,15 @@
+import concurrent.futures
 import dataclasses
 import json
 import threading
 import time
+import typing
 from collections import Counter, defaultdict
 from pathlib import Path
 
 import pytest
 
-from mazenav import gateway, runner
+from mazenav import cli, gateway, runner
 from mazenav.corpus import build_corpus
 from mazenav.gateway import (
     DEFAULT_SCENARIOS,
@@ -82,6 +84,20 @@ def make_spec(tmp_path, corpus_dir, endpoint, **kw) -> ExperimentSpec:
     return ExperimentSpec(**defaults)
 
 
+def eval_exit_status(spec, monkeypatch) -> int:
+    """The exit status of `mazenav eval` on a spec file that loads as ``spec``."""
+    monkeypatch.setattr(cli, "load_spec", lambda path: spec)
+    return cli.main(["eval", "--spec", "spec.json"])
+
+
+def test_run_trial_annotations_resolve_as_a_type_checker_reads_them():
+    # runner binds Future only when TYPE_CHECKING is true, so run its source that way.
+    namespace = {"__name__": "mazenav.runner", "__package__": "mazenav"}
+    source = Path(runner.__file__).read_text(encoding="utf-8")
+    exec(source.replace("TYPE_CHECKING = False", "TYPE_CHECKING = True"), namespace)
+    assert typing.get_type_hints(namespace["_run_trial"])["call"] is concurrent.futures.Future
+
+
 class TestRun:
     def test_record_completeness(self, tmp_path, small_corpus):
         corpus_dir, corpus = small_corpus
@@ -107,11 +123,14 @@ class TestRun:
         spec = make_spec(tmp_path, corpus_dir, endpoint)
         run(spec, clock=lambda: 0.0)
         log_path = spec.output_dir / RECORDS_NAME
-        full = log_path.read_text(encoding="utf-8")
+        full = log_path.read_bytes()
+        # A log cut after five whole records, and one cut halfway through the sixth.
         lines = full.splitlines(keepends=True)
-        log_path.write_text("".join(lines[:5]), encoding="utf-8")
-        run(spec, clock=lambda: 0.0)
-        assert log_path.read_text(encoding="utf-8") == full
+        whole_records = b"".join(lines[:5])
+        for cut in (whole_records, whole_records + lines[5][:len(lines[5]) // 2]):
+            log_path.write_bytes(cut)
+            run(spec, clock=lambda: 0.0)
+            assert log_path.read_bytes() == full
 
     # A script that is not a JSON object stops the run instead (TestCredentials).
     @pytest.mark.parametrize("script", [{"*": ["Turn left"]}, {"*": 5}])
@@ -343,11 +362,14 @@ class TestResumeIntegrity:
         return spec, log_path
 
     def assert_refused(self, spec, log_path, monkeypatch, match):
+        """run() raises SpecError matching ``match`` and `mazenav eval` exits 1,
+        each before any provider call and leaving the log's bytes."""
         log = log_path.read_bytes()
         calls = []
         monkeypatch.setattr(gateway, "complete", lambda *args, **kw: calls.append(args))
         with pytest.raises(SpecError, match=match):
             run(spec, clock=lambda: 0.0)
+        assert eval_exit_status(spec, monkeypatch) == 1
         assert calls == []
         assert log_path.read_bytes() == log
 
@@ -594,6 +616,7 @@ class TestCredentials:
                          concurrency=concurrency)
         with pytest.raises(error, match=match):
             run_records(spec, clock=lambda: 0.0)
+        assert eval_exit_status(spec, monkeypatch) == 1
         assert _load_records(spec.output_dir / RECORDS_NAME)[0] == []
         return 3 * n_test
 
